@@ -6,9 +6,11 @@
 //! the cost of more active slots (2λ(ℓ² + n_ℓ − 1) with n_ℓ ∝ τ).
 
 use crate::config::ExpConfig;
-use crate::experiments::util::run_single_class;
+use crate::experiments::util::aligned_batch;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
+use dcr_sim::engine::EngineConfig;
+use dcr_sim::jamming::JamPolicy;
 use dcr_sim::runner::run_trials;
 use dcr_stats::{Proportion, Table};
 
@@ -30,8 +32,9 @@ fn sweep(cfg: &ExpConfig, lambda: u64, tau: u64) -> Cell {
     let trials = cfg.cell_trials(160);
     let params = AlignedParams::new(lambda, tau, CLASS);
     let results = run_trials(trials, cfg.seed ^ (lambda << 8) ^ tau, |_, seed| {
-        let r = run_single_class(params, CLASS, N_JOBS, 0.0, seed);
-        ((N_JOBS - r.successes) as u64, r.slots_used)
+        let config = EngineConfig::aligned().cohort();
+        let r = aligned_batch(config, params, N_JOBS, JamPolicy::Never, 0.0, seed);
+        ((N_JOBS - r.successes()) as u64, r.slots_run)
     });
     let failures: u64 = results.iter().map(|t| t.value.0).sum();
     let mean_slots = results.iter().map(|t| t.value.1 as f64).sum::<f64>() / results.len() as f64;

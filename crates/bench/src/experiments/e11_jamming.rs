@@ -9,15 +9,13 @@
 //! data-only) at `p_jam = 1/2`.
 
 use crate::config::ExpConfig;
-use crate::experiments::util::{run_instance, run_single_class};
+use crate::experiments::util::aligned_batch;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
-use dcr_core::aligned::protocol::AlignedProtocol;
 use dcr_sim::engine::EngineConfig;
-use dcr_sim::jamming::{JamPolicy, Jammer};
+use dcr_sim::jamming::JamPolicy;
 use dcr_sim::runner::run_trials;
 use dcr_stats::{Proportion, Table};
-use dcr_workloads::generators::batch;
 
 const CLASS: u32 = 11;
 const N_JOBS: usize = 8;
@@ -27,26 +25,18 @@ fn params() -> AlignedParams {
     AlignedParams::new(2, 2, CLASS)
 }
 
-fn sweep_pjam(cfg: &ExpConfig, p_jam: f64) -> Proportion {
-    let trials = cfg.cell_trials(160);
-    let results = run_trials(trials, cfg.seed ^ ((p_jam * 1000.0) as u64), |_, seed| {
-        run_single_class(params(), CLASS, N_JOBS, p_jam, seed).successes as u64
-    });
-    let successes: u64 = results.iter().map(|t| t.value).sum();
-    Proportion::new(successes, trials * N_JOBS as u64)
-}
-
-fn sweep_policy(cfg: &ExpConfig, policy: JamPolicy, p_jam: f64) -> Proportion {
-    let instance = batch(N_JOBS, 1 << CLASS);
-    let trials = cfg.cell_trials(120);
-    let results = run_trials(trials, cfg.seed ^ 0xE11, |_, seed| {
-        let r = run_instance(
-            &instance,
-            EngineConfig::aligned(),
-            Some(Jammer::new(policy, p_jam)),
-            seed,
-            AlignedProtocol::factory(params()),
-        );
+/// Per-job delivery rate of the batch under `policy` jamming at `p_jam`,
+/// over `trials` trials seeded from `cfg.seed ^ salt`.
+fn sweep_policy(
+    cfg: &ExpConfig,
+    policy: JamPolicy,
+    p_jam: f64,
+    trials: u64,
+    salt: u64,
+) -> Proportion {
+    let results = run_trials(trials, cfg.seed ^ salt, |_, seed| {
+        let config = EngineConfig::aligned().cohort();
+        let r = aligned_batch(config, params(), N_JOBS, policy, p_jam, seed);
         r.successes() as u64
     });
     let successes: u64 = results.iter().map(|t| t.value).sum();
@@ -72,7 +62,8 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
     let mut inside = Vec::new();
     let mut beyond = Vec::new();
     for &p in pjams {
-        let prop = sweep_pjam(cfg, p);
+        let salt = (p * 1000.0) as u64;
+        let prop = sweep_policy(cfg, JamPolicy::AllSuccesses, p, cfg.cell_trials(160), salt);
         if p <= 0.5 {
             inside.push(prop.estimate());
         } else {
@@ -96,7 +87,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         ("control only (skew estimates)", JamPolicy::ControlOnly),
         ("data only", JamPolicy::DataOnly),
     ] {
-        let prop = sweep_policy(cfg, policy, 0.5);
+        let prop = sweep_policy(cfg, policy, 0.5, cfg.cell_trials(120), 0xE11);
         rb.prop(format!("policy={name}"), "per_job_delivery", &prop)
             .add_trials(cfg.cell_trials(120))
             .add_slots(cfg.cell_trials(120) << CLASS);
@@ -123,13 +114,17 @@ mod tests {
 
     #[test]
     fn clean_channel_delivers() {
-        let p = sweep_pjam(&ExpConfig::quick(), 0.0);
+        let cfg = ExpConfig::quick();
+        let trials = cfg.cell_trials(160);
+        let p = sweep_policy(&cfg, JamPolicy::AllSuccesses, 0.0, trials, 0);
         assert!(p.estimate() > 0.97, "{p}");
     }
 
     #[test]
     fn half_jamming_tolerated() {
-        let p = sweep_pjam(&ExpConfig::quick(), 0.5);
+        let cfg = ExpConfig::quick();
+        let trials = cfg.cell_trials(160);
+        let p = sweep_policy(&cfg, JamPolicy::AllSuccesses, 0.5, trials, 500);
         assert!(p.estimate() > 0.85, "{p}");
     }
 
@@ -137,7 +132,9 @@ mod tests {
     fn control_only_jamming_does_not_break_estimates() {
         // The paper's worried-about adversary: jam only control messages to
         // skew n_ℓ. The τ inflation and equalizer phases must absorb it.
-        let p = sweep_policy(&ExpConfig::quick(), JamPolicy::ControlOnly, 0.5);
+        let cfg = ExpConfig::quick();
+        let trials = cfg.cell_trials(120);
+        let p = sweep_policy(&cfg, JamPolicy::ControlOnly, 0.5, trials, 0xE11);
         assert!(p.estimate() > 0.8, "{p}");
     }
 }

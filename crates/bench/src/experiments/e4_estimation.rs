@@ -9,9 +9,10 @@
 //! phase actually cares about).
 
 use crate::config::ExpConfig;
-use crate::experiments::util::run_single_class;
+use crate::experiments::util::estimation_trial;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
+use dcr_sim::engine::EngineConfig;
 use dcr_sim::runner::run_trials;
 use dcr_stats::{Proportion, Table};
 
@@ -34,8 +35,8 @@ fn sweep(cfg: &ExpConfig, class: u32, n_hat: usize, p_jam: f64, tau: u64) -> Cel
         trials,
         cfg.seed ^ ((n_hat as u64) << 20) ^ ((p_jam * 100.0) as u64),
         |_, seed| {
-            let r = run_single_class(p, class, n_hat, p_jam, seed);
-            r.estimate.unwrap_or(0)
+            estimation_trial(EngineConfig::aligned().cohort(), p, n_hat, p_jam, seed)
+                .map_or(0, |(n_est, _)| n_est)
         },
     );
     let mut in_band = 0u64;
@@ -120,6 +121,8 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::util::aligned_batch;
+    use dcr_sim::jamming::JamPolicy;
 
     #[test]
     fn estimates_land_in_paper_band_without_jamming() {
@@ -151,11 +154,11 @@ mod tests {
 
     #[test]
     fn empty_class_run_is_trivial() {
-        // With zero jobs there is nobody to report an estimate; the run
-        // must terminate immediately and cleanly.
-        let r = run_single_class(params(10, 64), 10, 0, 0.0, 5);
-        assert_eq!(r.estimate, None);
-        assert_eq!(r.successes, 0);
-        assert_eq!(r.slots_used, 1);
+        // With zero jobs there is nobody to report an estimate or deliver.
+        let config = EngineConfig::aligned().cohort();
+        let p = params(10, 64);
+        assert_eq!(estimation_trial(config.clone(), p, 0, 0.0, 5), None);
+        let r = aligned_batch(config, p, 0, JamPolicy::AllSuccesses, 0.0, 5);
+        assert_eq!(r.successes(), 0);
     }
 }

@@ -7,50 +7,34 @@
 //! sweep of ℓ and two λ values and fit the decay.
 
 use crate::config::ExpConfig;
-use crate::experiments::util::run_single_class;
+use crate::experiments::util::aligned_batch;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
+use dcr_sim::engine::EngineConfig;
+use dcr_sim::jamming::JamPolicy;
 use dcr_sim::runner::run_trials;
 use dcr_stats::{loglog_slope, Proportion, Table};
 
 const N_JOBS: usize = 8;
 
-/// Per-job failure frequency for a batch of `N_JOBS` in window `2^class`.
-fn cell(cfg: &ExpConfig, class: u32, lambda: u64, trials: u64) -> Proportion {
-    let params = AlignedParams::new(lambda, 2, class);
-    let results = run_trials(
-        trials,
-        cfg.seed ^ (u64::from(class) << 32) ^ lambda,
-        |_, seed| {
-            let r = run_single_class(params, class, N_JOBS, 0.0, seed);
-            (N_JOBS - r.successes) as u64
-        },
-    );
-    let failures: u64 = results.iter().map(|t| t.value).sum();
-    Proportion::new(failures, trials * N_JOBS as u64)
-}
-
-/// Stressed cell: the batch grows proportionally with the window
-/// (`n = w/divisor`) and a `p_jam = 1/2` adversary attacks every success —
-/// the regime where failures are frequent enough to *measure* the decay
-/// exponent instead of just bounding it.
-fn stressed_cell(
+/// Per-job failure frequency of a batch of `n` ALIGNED jobs (λ = `lambda`,
+/// τ = 2) in window `2^class`, with an all-successes adversary striking at
+/// `p_jam`, over `trials` trials seeded from `cfg.seed ^ salt`.
+fn cell(
     cfg: &ExpConfig,
     class: u32,
     lambda: u64,
-    divisor: usize,
+    n: usize,
+    p_jam: f64,
     trials: u64,
+    salt: u64,
 ) -> Proportion {
-    let n = ((1usize << class) / divisor).max(1);
     let params = AlignedParams::new(lambda, 2, class);
-    let results = run_trials(
-        trials,
-        cfg.seed ^ (u64::from(class) << 40) ^ (lambda << 8) ^ divisor as u64,
-        |_, seed| {
-            let r = run_single_class(params, class, n, 0.5, seed);
-            (n - r.successes) as u64
-        },
-    );
+    let results = run_trials(trials, cfg.seed ^ salt, |_, seed| {
+        let config = EngineConfig::aligned().cohort();
+        let r = aligned_batch(config, params, n, JamPolicy::AllSuccesses, p_jam, seed);
+        (n - r.successes()) as u64
+    });
     let failures: u64 = results.iter().map(|t| t.value).sum();
     Proportion::new(failures, trials * n as u64)
 }
@@ -77,7 +61,8 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         let mut points = Vec::new();
         for &class in *classes {
             let trials = cfg.cell_trials(500);
-            let p = cell(cfg, class, *lambda, trials);
+            let salt = (u64::from(class) << 32) ^ lambda;
+            let p = cell(cfg, class, *lambda, N_JOBS, 0.0, trials, salt);
             points.push(((1u64 << class) as f64, p.estimate()));
             rb.prop(format!("lambda={lambda},l={class}"), "per_job_failure", &p)
                 .add_trials(trials)
@@ -112,7 +97,9 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         }
     }
 
-    // Stressed regime: proportional load + half-rate jamming. Theorem 14
+    // Stressed regime: proportional load (n = w/divisor) + half-rate
+    // jamming, where failures are frequent enough to *measure* the decay
+    // exponent instead of just bounding it. Theorem 14
     // holds "for all λ, for sufficiently small γ"; the first two rows sit
     // deliberately ABOVE the γ threshold for their λ (under p_jam = 1/2,
     // a phase keeps pace with the halving schedule only when (3/4)^λ is
@@ -136,7 +123,9 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         let mut points = Vec::new();
         for &class in stress_classes {
             let trials = cfg.cell_trials(300);
-            let p = stressed_cell(cfg, class, lambda, divisor, trials);
+            let n = ((1usize << class) / divisor).max(1);
+            let salt = (u64::from(class) << 40) ^ (lambda << 8) ^ divisor as u64;
+            let p = cell(cfg, class, lambda, n, 0.5, trials, salt);
             points.push(((1u64 << class) as f64, p.estimate()));
             rb.prop(
                 format!("stress,lambda={lambda},l={class}"),
@@ -145,11 +134,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             )
             .add_trials(trials)
             .add_slots(trials << class);
-            table.row(vec![
-                class.to_string(),
-                ((1usize << class) / divisor).max(1).to_string(),
-                p.to_string(),
-            ]);
+            table.row(vec![class.to_string(), n.to_string(), p.to_string()]);
         }
         out.push_str(&table.render());
         if let Some(fit) = loglog_slope(&points, Some(1e-5)) {
@@ -184,11 +169,19 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
 mod tests {
     use super::*;
 
+    fn clean(class: u32, lambda: u64, trials: u64) -> Proportion {
+        cell(&ExpConfig::quick(), class, lambda, N_JOBS, 0.0, trials, 0)
+    }
+
+    fn stressed(class: u32, lambda: u64, divisor: usize, trials: u64) -> Proportion {
+        let n = ((1usize << class) / divisor).max(1);
+        cell(&ExpConfig::quick(), class, lambda, n, 0.5, trials, 0)
+    }
+
     #[test]
     fn failure_rate_decreases_with_window() {
-        let cfg = ExpConfig::quick();
-        let small = cell(&cfg, 8, 1, 120);
-        let large = cell(&cfg, 12, 1, 120);
+        let small = clean(8, 1, 120);
+        let large = clean(12, 1, 120);
         assert!(
             large.estimate() <= small.estimate(),
             "failure should not grow with w: {small} vs {large}"
@@ -197,16 +190,15 @@ mod tests {
 
     #[test]
     fn comfortable_window_nearly_never_fails() {
-        let p = cell(&ExpConfig::quick(), 12, 1, 100);
+        let p = clean(12, 1, 100);
         assert!(p.estimate() < 0.02, "{p}");
     }
 
     #[test]
     fn stressed_stable_regime_decays() {
         // λ=4, n=w/64, p_jam=0.5: failure must shrink as the window grows.
-        let cfg = ExpConfig::quick();
-        let small = stressed_cell(&cfg, 9, 4, 64, 150);
-        let large = stressed_cell(&cfg, 13, 4, 64, 150);
+        let small = stressed(9, 4, 64, 150);
+        let large = stressed(13, 4, 64, 150);
         assert!(
             large.estimate() < small.estimate() || small.estimate() == 0.0,
             "stable stress should decay: {small} vs {large}"
@@ -217,9 +209,8 @@ mod tests {
     fn stressed_overloaded_regime_grows() {
         // λ=1 above the γ threshold under jamming: failure grows with w —
         // the negative control that shows the threshold is real.
-        let cfg = ExpConfig::quick();
-        let small = stressed_cell(&cfg, 9, 1, 32, 100);
-        let large = stressed_cell(&cfg, 13, 1, 32, 100);
+        let small = stressed(9, 1, 32, 100);
+        let large = stressed(13, 1, 32, 100);
         assert!(
             large.estimate() > small.estimate(),
             "overload should worsen with scale: {small} vs {large}"

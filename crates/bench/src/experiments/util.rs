@@ -1,11 +1,14 @@
 //! Shared helpers for the experiment modules.
 
+use dcr_core::{AlignedParams, AlignedProtocol};
 use dcr_sim::engine::{Action, Engine, EngineConfig, JobCtx, Protocol};
-use dcr_sim::jamming::Jammer;
+use dcr_sim::jamming::{JamPolicy, Jammer};
 use dcr_sim::message::{ControlMsg, Payload};
 use dcr_sim::metrics::SimReport;
+use dcr_sim::probe::{ProbeEvent, ProbeSpec, SinkSpec};
 use dcr_sim::slot::Feedback;
 use dcr_sim::trace::{SlotOutcome, SlotRecord};
+use dcr_workloads::generators::batch;
 use dcr_workloads::Instance;
 use rand::{Rng, RngCore};
 
@@ -95,84 +98,50 @@ pub fn find_round_anchor(trace: &[SlotRecord]) -> Option<u64> {
     None
 }
 
-/// Result of a manually driven single-class ALIGNED run.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassRun {
-    /// The estimate the class computed (`None` if truncated mid-estimation).
-    pub estimate: Option<u64>,
-    /// Jobs that delivered their data message.
-    pub successes: usize,
-    /// Jobs that gave up (schedule completed or window ended without them).
-    pub gave_up: usize,
-    /// Slots consumed until every job finished (or the window ended).
-    pub slots_used: u64,
+/// One single-class ALIGNED trial: `n` jobs sharing the aligned window
+/// `[0, 2^min_class)` of `params`, attacked by the Section 3 adversary —
+/// `policy` strikes with probability `p_jam` (no jammer at all when
+/// `p_jam` is 0).
+pub fn aligned_batch(
+    config: EngineConfig,
+    params: AlignedParams,
+    n: usize,
+    policy: JamPolicy,
+    p_jam: f64,
+    seed: u64,
+) -> SimReport {
+    let instance = batch(n, 1 << params.min_class);
+    let jammer = (p_jam > 0.0).then(|| Jammer::new(policy, p_jam));
+    run_instance(
+        &instance,
+        config,
+        jammer,
+        seed,
+        AlignedProtocol::factory(params),
+    )
 }
 
-/// Drive `n` [`dcr_core::aligned::protocol::AlignedJob`] machines of class
-/// `class` through one window `[0, 2^class)` with a stochastic jammer that
-/// kills each would-be success with probability `p_jam` (the Section 3
-/// adversary with an always-attempt policy). Bypassing the engine lets
-/// experiments read protocol internals (the estimate) directly.
-pub fn run_single_class(
-    params: dcr_core::aligned::params::AlignedParams,
-    class: u32,
+/// One probed [`aligned_batch`] under all-successes jamming; returns the
+/// first `SizeEstimate` event's `(n_est, n_true)`, or `None` if the class
+/// never reported (zero jobs, or the window ended mid-estimation).
+pub fn estimation_trial(
+    config: EngineConfig,
+    params: AlignedParams,
     n: usize,
     p_jam: f64,
     seed: u64,
-) -> ClassRun {
-    use dcr_core::aligned::protocol::{AlignedAction, AlignedJob};
-    use dcr_sim::rng::{SeedSeq, StreamLabel};
-
-    let seeds = SeedSeq::new(seed);
-    let mut rngs: Vec<_> = (0..n)
-        .map(|i| seeds.rng(StreamLabel::Job, i as u64))
-        .collect();
-    let mut jam_rng = seeds.rng(StreamLabel::Jammer, 0);
-    let mut jobs: Vec<AlignedJob> = (0..n)
-        .map(|i| AlignedJob::new(params, i as u32, class, 0))
-        .collect();
-
-    let w = 1u64 << class;
-    let mut slots_used = w;
-    for vt in 0..w {
-        let mut txs: Vec<(usize, Payload)> = Vec::new();
-        for (i, job) in jobs.iter_mut().enumerate() {
-            if job.finished() {
-                continue;
-            }
-            match job.decide(vt, &mut rngs[i]) {
-                AlignedAction::Idle | AlignedAction::Doze => {}
-                AlignedAction::Control => txs.push((i, job.control_payload())),
-                AlignedAction::Data => txs.push((i, job.data_payload())),
-            }
-        }
-        let fb = match txs.len() {
-            0 => Feedback::Silent,
-            1 if p_jam > 0.0 && jam_rng.gen_bool(p_jam) => Feedback::Noise,
-            1 => Feedback::Success {
-                src: txs[0].0 as u32,
-                payload: txs[0].1,
-            },
-            _ => Feedback::Noise,
-        };
-        let mut all_done = true;
-        for job in jobs.iter_mut() {
-            if !job.finished() {
-                job.observe(vt, &fb);
-            }
-            all_done &= job.finished();
-        }
-        if all_done {
-            slots_used = vt + 1;
-            break;
-        }
-    }
-    ClassRun {
-        estimate: jobs.first().and_then(|j| j.estimate()),
-        successes: jobs.iter().filter(|j| j.succeeded()).count(),
-        gave_up: jobs.iter().filter(|j| j.gave_up()).count(),
-        slots_used,
-    }
+) -> Option<(u64, u64)> {
+    let config = config.with_probe(ProbeSpec::new().with(SinkSpec::Events));
+    let r = aligned_batch(config, params, n, JamPolicy::AllSuccesses, p_jam, seed);
+    let probes = r.probes.as_ref().expect("probe configured");
+    probes
+        .events()
+        .expect("events sink configured")
+        .iter()
+        .find_map(|rec| match rec.event {
+            ProbeEvent::SizeEstimate { n_est, n_true, .. } => Some((n_est, n_true)),
+            _ => None,
+        })
 }
 
 /// Mean of an iterator of f64 (NaN when empty).

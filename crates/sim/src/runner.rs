@@ -3,7 +3,7 @@
 //! High-probability claims ("job `j` succeeds with probability at least
 //! `1 − 1/w^Θ(λ)`") are validated empirically by running many independent
 //! trials. [`run_trials`] fans trials out over OS threads with
-//! `crossbeam::scope`; each trial derives its own seed from the batch master
+//! `std::thread::scope`; each trial derives its own seed from the batch master
 //! seed, so results are independent of thread count and scheduling.
 //!
 //! ## Engine reuse
@@ -284,10 +284,10 @@ where
     // First captured worker panic payload, if any.
     let mut panicked: Option<String> = None;
 
-    let scope_result = crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     // Work-stealing via a shared atomic counter: trials can
                     // have very uneven durations (window sizes span
                     // decades), so static striping would leave threads idle.
@@ -346,14 +346,6 @@ where
             }
         }
     });
-    // The closure above joins every handle itself, so the scope can only
-    // fail if the *closure* panicked — which it does not. Still, treat a
-    // scope-level payload like a worker panic rather than unwrapping.
-    if let Err(payload) = scope_result {
-        if panicked.is_none() {
-            panicked = Some(payload_text(payload.as_ref()));
-        }
-    }
 
     if let Some(payload) = panicked {
         crate::telemetry::TRIALS_PANICKED.inc();
@@ -468,9 +460,11 @@ where
     let next = AtomicU64::new(0);
     let slots: Mutex<Vec<Option<Result<SimReport, CheckpointError>>>> =
         Mutex::new((0..branches.len()).map(|_| None).collect());
-    crossbeam::scope(|scope| {
+    // A worker panic propagates: the scope joins every worker, then
+    // re-raises it.
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed) as usize;
                 if i >= branches.len() {
                     break;
@@ -490,8 +484,7 @@ where
                 slots.lock().expect("branch slots poisoned")[i] = Some(out);
             });
         }
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    });
 
     let mut reports = Vec::with_capacity(branches.len());
     for out in slots.into_inner().expect("branch slots poisoned") {
