@@ -104,10 +104,10 @@ impl Protocol for Uniform {
 
     fn cohort_tx(&self, ctx: &JobCtx) -> Option<CohortTx> {
         // The canonical k = 1 variant is exactly the engine's one-shot
-        // aggregate model (one attempt, uniform over the window). k ≥ 2
-        // draws distinct slots without replacement, which does not reduce
-        // to one binomial per slot, so it stays on the exact path — as do
-        // probed jobs, whose event streams must keep flowing.
+        // profile (one attempt, uniform over the window), which the kernel
+        // replays draw for draw. k ≥ 2 draws distinct slots without
+        // replacement and keeps more state, so it stays on the exact path
+        // — as do probed jobs, whose event streams must keep flowing.
         if ctx.probed || self.attempts != 1 {
             return None;
         }

@@ -27,12 +27,14 @@
 //!   is the first member, so order affects behavior);
 //! * cohort aggregates and phase-synchronized class drivers
 //!   ([`crate::classes::ClassDriver::save_state`]);
-//! * the vectorized kernel's buckets and one-shot calendar;
+//! * the vectorized kernel's buckets and one-shot calendar (it runs under
+//!   both cohort and vectorized fidelity);
 //! * the jammer's counters and adversary state
 //!   ([`crate::jamming::Adversary::save_state`]);
-//! * the word positions of the two stateful RNG streams (jammer, cohort).
-//!   Everything else draws from counter-based streams that are pure
-//!   functions of `(key, slot, phase)` and need no capture at all.
+//! * the word position of the one stateful RNG stream, the jammer's.
+//!   Everything else — cohort draws included — comes from counter-based
+//!   streams that are pure functions of `(key, slot, phase)` and need no
+//!   capture at all.
 //!
 //! ## What a checkpoint does *not* capture
 //!
@@ -61,7 +63,7 @@ use std::fmt;
 
 /// Version tag of the checkpoint wire format. Bump on any layout change;
 /// [`crate::engine::Engine::restore`] rejects other versions.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A complete engine-state image at a slot boundary. See the
 /// [module docs](self) for the capture contract.
@@ -92,8 +94,6 @@ pub struct Checkpoint {
     pub contention_sum_bits: u64,
     /// Word position of the jammer's ChaCha stream.
     pub jam_word_pos: u64,
-    /// Word position of the cohort stream (`Some` iff cohort fidelity).
-    pub cohort_word_pos: Option<u64>,
     /// Per-job outcomes so far (indexed by job id).
     pub outcomes: Vec<Option<JobOutcome>>,
     /// Per-job channel-access counters (indexed by job id).
@@ -109,12 +109,12 @@ pub struct Checkpoint {
     pub protocol_state: Vec<Option<Vec<u64>>>,
     /// Duty groups and per-job duty bookkeeping, verbatim.
     pub duty: DutySnap,
-    /// Cohort aggregates (cohort fidelity).
+    /// Constant-`p` cohort aggregates (cohort fidelity).
     pub cohorts: Vec<CohortSnap>,
     /// Phase-synchronized class aggregates (cohort fidelity).
     pub classes: Vec<ClassSnap>,
-    /// The vectorized kernel's state as one flat word blob (empty unless
-    /// vectorized fidelity).
+    /// The vectorized kernel's state as one flat word blob (empty under
+    /// exact fidelity).
     pub kernel: Vec<u64>,
     /// Jam attempts so far ([`crate::jamming::Jammer::attempted`]).
     pub jams_attempted: u64,
@@ -179,20 +179,17 @@ pub struct DutySnap {
     pub dead_backstops: u64,
 }
 
-/// One cohort aggregate — **member order matters** (winner selection is a
-/// uniform index draw; `fresh` splits the member vector positionally).
+/// One constant-`p` cohort aggregate — **member order matters** (winner
+/// selection is a uniform index draw). The cohort's counter-RNG key is
+/// re-derived from the seed and `(p_bits, deadline)` on restore.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CohortSnap {
-    /// True for the one-shot hazard model, false for `Constant`.
-    pub one_shot: bool,
-    /// `p.to_bits()` of the constant per-slot probability (0 for one-shot).
+    /// `p.to_bits()` of the constant per-slot probability.
     pub p_bits: u64,
     /// Shared deadline.
     pub deadline: u64,
     /// Live member job indices, in engine order.
     pub members: Vec<u32>,
-    /// One-shot only: `members[..fresh]` have not yet spent their attempt.
-    pub fresh: u64,
 }
 
 /// One phase-synchronized class aggregate. The driver is rebuilt through
@@ -445,7 +442,6 @@ mod tests {
             gap_slots: 40,
             contention_sum_bits: 1.75f64.to_bits(),
             jam_word_pos: 64,
-            cohort_word_pos: Some(16),
             outcomes: vec![
                 Some(JobOutcome::Success { slot: 9 }),
                 None,
@@ -481,11 +477,9 @@ mod tests {
                 dead_backstops: 1,
             },
             cohorts: vec![CohortSnap {
-                one_shot: true,
-                p_bits: 0,
+                p_bits: 0.25f64.to_bits(),
                 deadline: 256,
                 members: vec![5, 7, 6],
-                fresh: 2,
             }],
             classes: vec![ClassSnap {
                 tag: 11,

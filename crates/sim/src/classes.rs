@@ -1,9 +1,10 @@
 //! Phase-synchronized aggregate classes — the million-job fidelity layer.
 //!
-//! [`crate::engine::CohortTx::Constant`] and [`crate::engine::CohortTx::OneShot`]
-//! cover memoryless profiles: a cohort member never listens and never changes
-//! its law in response to feedback, so the whole cohort is a single binomial
-//! per slot. The paper's headline protocols (ALIGNED, PUNCTUAL) are *not*
+//! [`crate::engine::CohortTx::Constant`] covers the memoryless profile: a
+//! cohort member never listens and never changes its law in response to
+//! feedback, so the whole cohort is a single binomial per slot (one-shot
+//! UNIFORM, [`crate::engine::CohortTx::OneShot`], rides the vectorized
+//! kernel's calendar instead, under both aggregate fidelities). The paper's headline protocols (ALIGNED, PUNCTUAL) are *not*
 //! memoryless — they advance through phases, elect leaders, and react to the
 //! channel — but they are **phase-synchronized**: every member of a class
 //! (same protocol parameters, same release, same deadline) occupies the same

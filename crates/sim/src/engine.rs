@@ -112,21 +112,22 @@ impl JobCtx {
     }
 }
 
-/// A transmission profile a protocol can expose so the engine may simulate
-/// the job in aggregate under [`Fidelity::Cohort`] or via the vectorized
-/// kernel under [`Fidelity::Vectorized`].
+/// A transmission profile a protocol can expose so the engine may take the
+/// job off the per-job path under [`Fidelity::Cohort`] or
+/// [`Fidelity::Vectorized`] — in aggregate or through the vectorized
+/// kernel, per variant below.
 ///
 /// The common contract: from activation until delivery or deadline the job
 /// never listens, never finishes early ([`Protocol::is_done`] stays false
 /// until delivery), and its transmissions follow the declared model
-/// exactly (in distribution). Jobs with the same profile and deadline form
-/// one cohort whose per-slot transmitter *count* is a single binomial draw
-/// instead of one Bernoulli draw per job — so both models below are exact,
-/// not approximations.
+/// exactly (in distribution). Under [`Fidelity::Cohort`], constant-`p`
+/// jobs with the same `p` and deadline form one cohort whose per-slot
+/// transmitter *count* is a single binomial draw instead of one Bernoulli
+/// draw per job — exact in law, not an approximation.
 ///
-/// [`Fidelity::Vectorized`] additionally relies on a *bit-level draw
-/// schedule*, because the kernel reproduces the exact path's draws
-/// verbatim rather than resampling in aggregate:
+/// The kernel additionally relies on a *bit-level draw schedule*, because
+/// it reproduces the exact path's draws verbatim rather than resampling in
+/// aggregate:
 ///
 /// - [`CohortTx::Constant`]: `act` consumes **exactly one** `gen_bool(p)`
 ///   per call and transmits iff it lands; `on_activate` and `on_feedback`
@@ -143,16 +144,18 @@ impl JobCtx {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CohortTx {
     /// "Transmit the data message with probability `p` in every slot,
-    /// independently" — the memoryless model (slotted ALOHA).
+    /// independently" — the memoryless model (slotted ALOHA). A binomial
+    /// cohort under [`Fidelity::Cohort`], a kernel Bernoulli bucket under
+    /// [`Fidelity::Vectorized`].
     Constant {
         /// Per-slot transmission probability, constant for the lifetime.
         p: f64,
     },
     /// "Transmit exactly once, in a slot chosen uniformly over the
-    /// window" — UNIFORM `k = 1`'s one-shot draw. Simulated exactly via
-    /// its sequential decomposition: a member that has not yet attempted
-    /// transmits at slot `t` with hazard `1/(deadline − t)`, so the count
-    /// is `Binomial(not-yet-attempted, 1/(deadline − t))` per slot.
+    /// window" — UNIFORM `k = 1`'s one-shot draw. Under both
+    /// [`Fidelity::Cohort`] and [`Fidelity::Vectorized`] the kernel's
+    /// one-shot calendar replays the activation draw, so these jobs stay
+    /// bit-identical to [`Fidelity::Exact`].
     OneShot,
     /// A phase-synchronized aggregate class (ALIGNED, PUNCTUAL): jobs with
     /// the same `tag`, release, and deadline share one protocol state and
@@ -295,14 +298,15 @@ pub trait Protocol {
         false
     }
 
-    /// Aggregate-simulation hint: a constant per-slot transmission profile
-    /// for this job, if its whole lifetime is statistically equivalent to
-    /// one (see [`CohortTx`]). Consulted once, at the job's release slot,
-    /// and only under [`Fidelity::Cohort`]; a cohort-managed job receives
-    /// **no** protocol callbacks at all — the engine samples its behavior in
-    /// aggregate. Protocols whose behavior depends on feedback, phase, or
-    /// any evolving state must return `None` (the default), which keeps the
-    /// job on the exact per-job path even in cohort mode.
+    /// Aggregate-simulation hint: a transmission profile for this job, if
+    /// its whole lifetime follows one (see [`CohortTx`]). Consulted once,
+    /// at the job's release slot, and only under [`Fidelity::Cohort`] or
+    /// [`Fidelity::Vectorized`]; a job the engine takes over (cohort,
+    /// class or kernel) receives **no** further protocol callbacks — the
+    /// engine makes its draws itself. Protocols whose behavior depends on
+    /// feedback, phase, or any evolving state must return `None` (the
+    /// default), which keeps the job on the exact per-job path under every
+    /// fidelity.
     fn cohort_tx(&self, _ctx: &JobCtx) -> Option<CohortTx> {
         None
     }
@@ -369,14 +373,20 @@ pub enum Fidelity {
     /// Every job is simulated individually. Bit-exact and the default.
     #[default]
     Exact,
-    /// Jobs whose protocol reports a [`Protocol::cohort_tx`] profile are
-    /// grouped by `(probability, deadline)` and the *number* of transmitters
-    /// each cohort contributes per slot is drawn from a binomial; an
-    /// individual member is materialized only when it is the slot's sole
-    /// transmitter. O(cohorts) per slot instead of O(jobs), which unlocks
-    /// populations of 10⁵ and beyond. Results are statistically equivalent
-    /// to [`Fidelity::Exact`] (same distributions), not bit-identical; jobs
-    /// whose protocol returns `None` still take the exact path.
+    /// Aggregate simulation by profile (see [`Protocol::cohort_tx`]):
+    /// - [`CohortTx::Constant`] jobs are grouped by `(probability,
+    ///   deadline)` and the *number* of transmitters each cohort
+    ///   contributes per slot is one binomial draw; an individual member is
+    ///   materialized only when it is the slot's sole transmitter.
+    ///   O(cohorts) per slot instead of O(jobs). Statistically equivalent
+    ///   to [`Fidelity::Exact`] (same distributions), not bit-identical.
+    /// - [`CohortTx::Class`] jobs advance as phase-synchronized classes
+    ///   (see [`crate::classes`]), also statistically equivalent.
+    /// - [`CohortTx::OneShot`] jobs ride the vectorized kernel's one-shot
+    ///   calendar, exactly as under [`Fidelity::Vectorized`], so they stay
+    ///   bit-identical to [`Fidelity::Exact`].
+    ///
+    /// Jobs whose protocol returns `None` still take the exact path.
     Cohort,
     /// Jobs whose protocol reports a [`Protocol::cohort_tx`] profile are
     /// managed by the vectorized slot kernel: constant-probability jobs
@@ -766,38 +776,31 @@ impl DutySet {
     }
 }
 
-/// A cohort's sampling model — also its grouping key, alongside the
-/// deadline.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CohortModel {
-    /// Bernoulli(`p`) per slot; keyed by the exact bit pattern of `p`
-    /// (no epsilon — distinct floats are distinct cohorts).
-    Constant {
-        /// `p.to_bits()`.
-        p_bits: u64,
-    },
-    /// One attempt at a slot uniform over the window (hazard
-    /// `1/(deadline − t)` among not-yet-attempted members).
-    OneShot,
-}
-
-/// One group of cohort-managed jobs: same model, same deadline, simulated
-/// in aggregate under [`Fidelity::Cohort`].
+/// One group of constant-`p` jobs sharing `(p, deadline)`, simulated in
+/// aggregate under [`Fidelity::Cohort`].
 struct Cohort {
-    model: CohortModel,
-    /// The constant per-slot probability (`Constant` only; 0 otherwise).
+    /// The per-slot transmission probability.
     p: f64,
+    /// `p.to_bits()`, the grouping key alongside the deadline (no epsilon —
+    /// distinct floats are distinct cohorts).
+    p_bits: u64,
     deadline: u64,
+    /// Counter-RNG key of the cohort's draws, derived from the trial seed
+    /// and `(p_bits, deadline)` (see [`cohort_key`]): the binomial count
+    /// draws at `(key, slot, Act)`, the member picks at `(key, slot,
+    /// Feedback)`. No draw depends on the cohort's place in the list.
+    key: u64,
     /// Live member job indices. Members are exchangeable by construction,
     /// so removal is `swap_remove` and winner selection is a uniform index
     /// draw.
     members: Vec<u32>,
-    /// `OneShot` only: `members[..fresh]` have not yet spent their single
-    /// attempt; spent members sit behind `fresh` awaiting their Missed
-    /// outcome at the deadline. (Which *particular* members are spent is
-    /// never decided unless one must be materialized — exchangeability
-    /// makes the prefix split sufficient.)
-    fresh: usize,
+}
+
+/// The counter-RNG key of the `(p_bits, deadline)` cohort: the class
+/// identity-to-index scheme ([`class_stream_index`], with `p_bits` as the
+/// tag and no release) under [`StreamLabel::Cohort`].
+fn cohort_key(seeds: &SeedSeq, p_bits: u64, deadline: u64) -> u64 {
+    seeds.derive(StreamLabel::Cohort, class_stream_index(p_bits, 0, deadline))
 }
 
 /// All cohorts of one run.
@@ -809,39 +812,20 @@ struct CohortSet {
 }
 
 impl CohortSet {
-    fn insert(&mut self, profile: CohortTx, deadline: u64, idx: u32) {
-        let (model, p) = match profile {
-            CohortTx::Constant { p } => (
-                CohortModel::Constant {
-                    p_bits: p.to_bits(),
-                },
-                p,
-            ),
-            CohortTx::OneShot => (CohortModel::OneShot, 0.0),
-            CohortTx::Class { .. } => {
-                unreachable!("class profiles are routed to ClassSet, never to CohortSet")
-            }
-        };
+    fn insert(&mut self, seeds: &SeedSeq, p: f64, deadline: u64, idx: u32) {
+        let p_bits = p.to_bits();
         match self
             .cohorts
             .iter_mut()
-            .find(|c| c.model == model && c.deadline == deadline)
+            .find(|c| c.p_bits == p_bits && c.deadline == deadline)
         {
-            Some(c) => {
-                c.members.push(idx);
-                if c.model == CohortModel::OneShot {
-                    // Keep the new member inside the fresh prefix.
-                    let last = c.members.len() - 1;
-                    c.members.swap(c.fresh, last);
-                    c.fresh += 1;
-                }
-            }
+            Some(c) => c.members.push(idx),
             None => self.cohorts.push(Cohort {
-                model,
                 p,
+                p_bits,
                 deadline,
+                key: cohort_key(seeds, p_bits, deadline),
                 members: vec![idx],
-                fresh: 1,
             }),
         }
         self.total += 1;
@@ -948,9 +932,6 @@ struct RunState {
     /// accumulated while some sink records slot traces).
     contention_sum: f64,
     jam_rng: ChaCha8Rng,
-    /// Cohort draws come from their own stream so the exact path's per-job
-    /// streams stay untouched by the mode switch. `Some` iff cohort mode.
-    cohort_rng: Option<ChaCha8Rng>,
     /// The next slot boundary to execute.
     slot: u64,
     /// The slot this engine started executing at — 0 unless the run was
@@ -984,8 +965,8 @@ pub struct Engine {
     classes: ClassSet,
     /// Duty groups (periodic-schedule jobs; see [`Protocol::duty_cycle`]).
     duty: DutySet,
-    /// The vectorized slot kernel (inert unless fidelity is
-    /// [`Fidelity::Vectorized`]; see [`crate::kernel`]).
+    /// The vectorized slot kernel (inert under [`Fidelity::Exact`]; see
+    /// [`crate::kernel`]).
     kernel: SlotKernel,
     /// Guards against a second `run` without a `reset` in between.
     ran: bool,
@@ -1175,7 +1156,7 @@ impl Engine {
 
         self.active.clear();
         self.scratch.clear();
-        if self.config.fidelity == Fidelity::Vectorized {
+        if self.config.fidelity != Fidelity::Exact {
             self.kernel
                 .prepare(self.jobs.len(), self.config.kernel_shards);
         }
@@ -1191,9 +1172,6 @@ impl Engine {
                 bus.push(sink.build());
             }
         }
-        let cohort_rng = (self.config.fidelity == Fidelity::Cohort)
-            .then(|| self.seeds.rng(StreamLabel::Cohort, 0));
-
         // Per-job duty bookkeeping arrays (empty groups; sized to the run).
         self.duty.prepare(self.jobs.len());
 
@@ -1205,7 +1183,6 @@ impl Engine {
             sched_stats: SchedStats::default(),
             contention_sum: 0.0,
             jam_rng: self.seeds.rng(StreamLabel::Jammer, 0),
-            cohort_rng,
             slot: 0,
             base_slot: 0,
             engine_nanos: 0,
@@ -1231,7 +1208,6 @@ impl Engine {
             mut sched_stats,
             mut contention_sum,
             mut jam_rng,
-            mut cohort_rng,
             mut slot,
             base_slot,
             engine_nanos,
@@ -1239,8 +1215,9 @@ impl Engine {
         } = st;
         let started = std::time::Instant::now();
         let event_driven = self.config.scheduling == Scheduling::EventDriven;
-        let cohort_mode = self.config.fidelity == Fidelity::Cohort;
-        let vector_mode = self.config.fidelity == Fidelity::Vectorized;
+        let fidelity = self.config.fidelity;
+        let cohort_mode = fidelity == Fidelity::Cohort;
+        let kernel_mode = fidelity != Fidelity::Exact;
         let aligned_clock = self.config.expose_aligned_clock;
         // An adversary that can strike silent slots draws randomness every
         // slot, so all-parked stretches cannot be skipped without
@@ -1260,7 +1237,7 @@ impl Engine {
             }
             // Retire kernel state whose deadline arrived (outcomes settle
             // to Missed in the end-of-run sweep, as on the exact path).
-            if vector_mode {
+            if kernel_mode {
                 self.kernel.expire(slot);
             }
             // Nothing live and nothing pending: the channel is idle forever.
@@ -1397,65 +1374,54 @@ impl Engine {
                     aligned_time: aligned_clock.then_some(slot),
                     probed,
                 };
-                if cohort_mode {
-                    let routed = match self.jobs.protocols[idx as usize].cohort_tx(&ctx) {
-                        // Phase-synchronized class: route to the shared
-                        // driver for (tag, release, deadline), opening it
-                        // at the first member's activation. A protocol
-                        // that declines to supply a driver falls through
-                        // to the exact per-job path.
-                        Some(CohortTx::Class { tag }) => self.admit_class(tag, &spec, &ctx),
-                        Some(profile) => {
-                            // Aggregate-managed: never polled, never called
-                            // back.
-                            self.cohorts.insert(profile, spec.deadline, idx);
-                            true
-                        }
-                        None => false,
-                    };
-                    if routed {
-                        continue;
+                // Aggregate-managed jobs (cohort, class, kernel) are never
+                // polled or called back again — unobservably, since their
+                // profiles promise no observable callback effects. The
+                // kernel makes the job's own draws from its bit-level
+                // schedule (see [`CohortTx`]); cohorts and classes sample
+                // in aggregate.
+                let profile = if kernel_mode {
+                    self.jobs.protocols[idx as usize].cohort_tx(&ctx)
+                } else {
+                    None
+                };
+                let key = self.jobs.keys[idx as usize];
+                let routed = match (fidelity, profile) {
+                    // Phase-synchronized class: route to the shared driver
+                    // for (tag, release, deadline), opening it at the first
+                    // member's activation. A protocol that declines to
+                    // supply a driver falls through to the exact path.
+                    (Fidelity::Cohort, Some(CohortTx::Class { tag })) => {
+                        self.admit_class(tag, &spec, &ctx)
                     }
-                }
-                if vector_mode {
-                    if let Some(profile) = self.jobs.protocols[idx as usize].cohort_tx(&ctx) {
-                        // Kernel-managed: the profile's bit-level draw
-                        // schedule (see [`CohortTx`]) lets the kernel make
-                        // the job's draws itself, so the protocol is never
-                        // polled or called back — unobservably, since such
-                        // protocols have no observable callback effects.
-                        let key = self.jobs.keys[idx as usize];
-                        match profile {
-                            CohortTx::Constant { p } => {
-                                self.kernel.insert_bern(idx, key, p, spec.deadline);
-                            }
-                            CohortTx::OneShot => {
-                                self.kernel.insert_shot(
-                                    idx,
-                                    key,
-                                    spec.release,
-                                    spec.window(),
-                                    spec.deadline,
-                                );
-                            }
-                            CohortTx::Class { .. } => {
-                                // Class aggregates are a cohort-fidelity
-                                // construct; the kernel's bit-identity
-                                // contract does not cover them, so such jobs
-                                // stay on the exact per-job path here.
-                                let mut rng = CounterRng::new(
-                                    self.jobs.keys[idx as usize],
-                                    slot,
-                                    Phase::Activate,
-                                );
-                                self.jobs.protocols[idx as usize].on_activate(&ctx, &mut rng);
-                                self.active.push(idx);
-                            }
-                        }
-                        continue;
+                    (Fidelity::Cohort, Some(CohortTx::Constant { p })) => {
+                        self.cohorts.insert(&self.seeds, p, spec.deadline, idx);
+                        true
                     }
+                    (Fidelity::Vectorized, Some(CohortTx::Constant { p })) => {
+                        self.kernel.insert_bern(idx, key, p, spec.deadline);
+                        true
+                    }
+                    (Fidelity::Cohort | Fidelity::Vectorized, Some(CohortTx::OneShot)) => {
+                        self.kernel.insert_shot(
+                            idx,
+                            key,
+                            spec.release,
+                            spec.window(),
+                            spec.deadline,
+                        );
+                        true
+                    }
+                    // Class aggregates are a cohort-fidelity construct; the
+                    // kernel's bit-identity contract does not cover them, so
+                    // under Vectorized they take the exact path like
+                    // profile-less jobs.
+                    _ => false,
+                };
+                if routed {
+                    continue;
                 }
-                let mut rng = CounterRng::new(self.jobs.keys[idx as usize], slot, Phase::Activate);
+                let mut rng = CounterRng::new(key, slot, Phase::Activate);
                 self.jobs.protocols[idx as usize].on_activate(&ctx, &mut rng);
                 self.active.push(idx);
             }
@@ -1564,26 +1530,16 @@ impl Engine {
             // the slot resolves to a single transmission.
             self.scratch.cohort_hits.clear();
             let mut cohort_tx: u64 = 0;
-            if let Some(rng) = cohort_rng.as_mut() {
-                for (c_idx, cohort) in self.cohorts.cohorts.iter().enumerate() {
-                    let (m, p) = match cohort.model {
-                        CohortModel::Constant { .. } => (cohort.members.len() as u64, cohort.p),
-                        // One-shot hazard among not-yet-attempted members;
-                        // live cohorts always have slot < deadline, and at
-                        // deadline − 1 the hazard reaches 1 (everyone left
-                        // must attempt now or never).
-                        CohortModel::OneShot => {
-                            (cohort.fresh as u64, 1.0 / (cohort.deadline - slot) as f64)
-                        }
-                    };
-                    let t = sample_binomial(m, p, rng);
-                    if t > 0 {
-                        self.scratch.cohort_hits.push((c_idx as u32, t));
-                        cohort_tx += t;
-                    }
-                    if recording {
-                        declared_contention += m as f64 * p;
-                    }
+            for (c_idx, cohort) in self.cohorts.cohorts.iter().enumerate() {
+                let m = cohort.members.len() as u64;
+                let mut rng = CounterRng::new(cohort.key, slot, Phase::Act);
+                let t = sample_binomial(m, cohort.p, &mut rng);
+                if t > 0 {
+                    self.scratch.cohort_hits.push((c_idx as u32, t));
+                    cohort_tx += t;
+                }
+                if recording {
+                    declared_contention += m as f64 * cohort.p;
                 }
             }
 
@@ -1610,7 +1566,7 @@ impl Engine {
             // `Action::Transmit` would (the draws are bit-identical; see
             // `crate::kernel`); kernel jobs are never polled, so they take
             // no feedback and appear in no `codes`.
-            if vector_mode {
+            if kernel_mode {
                 self.scratch.kernel_tx.clear();
                 self.kernel.collect(slot, &mut self.scratch.kernel_tx);
                 for &idx in &self.scratch.kernel_tx {
@@ -1671,13 +1627,8 @@ impl Engine {
                     } else {
                         let (c_idx, _) = self.scratch.cohort_hits[0];
                         let cohort = &self.cohorts.cohorts[c_idx as usize];
-                        let rng = cohort_rng.as_mut().expect("cohort hit implies cohort mode");
-                        // One-shot attempts come from the fresh prefix only.
-                        let pool = match cohort.model {
-                            CohortModel::Constant { .. } => cohort.members.len(),
-                            CohortModel::OneShot => cohort.fresh,
-                        };
-                        let pos = rng.gen_range(0..pool);
+                        let pos = CounterRng::new(cohort.key, slot, Phase::Feedback)
+                            .gen_range(0..cohort.members.len());
                         let member = cohort.members[pos] as usize;
                         self.jobs.accesses[member].transmissions += 1;
                         cohort_winner = Some((c_idx as usize, pos));
@@ -1691,34 +1642,15 @@ impl Engine {
                     // Collision: charge each hit cohort's transmission count
                     // to distinct members (partial Fisher–Yates; order in
                     // the member list is meaningless).
-                    if let Some(rng) = cohort_rng.as_mut() {
-                        for &(c_idx, t) in &self.scratch.cohort_hits {
-                            let cohort = &mut self.cohorts.cohorts[c_idx as usize];
-                            match cohort.model {
-                                CohortModel::Constant { .. } => {
-                                    let members = &mut cohort.members;
-                                    let t = (t as usize).min(members.len());
-                                    for i in 0..t {
-                                        let j = rng.gen_range(i..members.len());
-                                        members.swap(i, j);
-                                        self.jobs.accesses[members[i] as usize].transmissions += 1;
-                                    }
-                                }
-                                CohortModel::OneShot => {
-                                    // Draw the attempters from the fresh
-                                    // prefix, parking each at its end so the
-                                    // prefix shrinks over the spent ones.
-                                    let t = (t as usize).min(cohort.fresh);
-                                    for i in 0..t {
-                                        let lim = cohort.fresh - i;
-                                        let j = rng.gen_range(0..lim);
-                                        cohort.members.swap(j, lim - 1);
-                                        self.jobs.accesses[cohort.members[lim - 1] as usize]
-                                            .transmissions += 1;
-                                    }
-                                    cohort.fresh -= t;
-                                }
-                            }
+                    for &(c_idx, t) in &self.scratch.cohort_hits {
+                        let cohort = &mut self.cohorts.cohorts[c_idx as usize];
+                        let mut rng = CounterRng::new(cohort.key, slot, Phase::Feedback);
+                        let members = &mut cohort.members;
+                        let t = (t as usize).min(members.len());
+                        for i in 0..t {
+                            let j = rng.gen_range(i..members.len());
+                            members.swap(i, j);
+                            self.jobs.accesses[members[i] as usize].transmissions += 1;
                         }
                     }
                     SlotView::Collision { n_tx }
@@ -1807,35 +1739,15 @@ impl Engine {
                 // A delivered kernel-managed job leaves the kernel
                 // immediately (its Bernoulli lane dies / its calendar
                 // deadline count drops).
-                if vector_mode && self.kernel.is_managed(owner as usize) {
+                if kernel_mode && self.kernel.is_managed(owner as usize) {
                     self.kernel
                         .on_delivery(owner as usize, self.jobs.specs[owner as usize].deadline);
                 }
-                // A delivered cohort member leaves its cohort immediately.
+                // A delivered cohort member leaves its cohort immediately
+                // (a jammed one just retries: members are memoryless).
                 if let Some((c_idx, pos)) = cohort_winner {
-                    let cohort = &mut self.cohorts.cohorts[c_idx];
-                    match cohort.model {
-                        CohortModel::Constant { .. } => {
-                            cohort.members.swap_remove(pos);
-                        }
-                        CohortModel::OneShot => {
-                            // Remove without pulling a spent member into
-                            // the fresh prefix: retire via its end.
-                            cohort.members.swap(pos, cohort.fresh - 1);
-                            cohort.members.swap_remove(cohort.fresh - 1);
-                            cohort.fresh -= 1;
-                        }
-                    }
+                    self.cohorts.cohorts[c_idx].members.swap_remove(pos);
                     self.cohorts.total -= 1;
-                }
-            } else if let Some((c_idx, pos)) = cohort_winner {
-                // The lone cohort transmission was jammed. A memoryless
-                // member just retries; a one-shot member has spent its
-                // attempt and moves behind the fresh prefix.
-                let cohort = &mut self.cohorts.cohorts[c_idx];
-                if cohort.model == CohortModel::OneShot {
-                    cohort.members.swap(pos, cohort.fresh - 1);
-                    cohort.fresh -= 1;
                 }
             }
             // Active part: `polled[..visited_start]` mirrors `active`, and
@@ -2191,7 +2103,6 @@ impl Engine {
             sched_stats,
             contention_sum,
             jam_rng,
-            cohort_rng,
             slot,
             base_slot,
             engine_nanos: engine_nanos
@@ -2455,7 +2366,6 @@ impl Engine {
             gap_slots: st.sched_stats.gap_slots,
             contention_sum_bits: st.contention_sum.to_bits(),
             jam_word_pos: st.jam_rng.get_word_pos(),
-            cohort_word_pos: st.cohort_rng.as_ref().map(ChaCha8Rng::get_word_pos),
             outcomes: self.jobs.outcomes.clone(),
             accesses: self.jobs.accesses.clone(),
             active: self.active.clone(),
@@ -2493,18 +2403,13 @@ impl Engine {
                 .cohorts
                 .iter()
                 .map(|c| CohortSnap {
-                    one_shot: c.model == CohortModel::OneShot,
-                    p_bits: match c.model {
-                        CohortModel::Constant { p_bits } => p_bits,
-                        CohortModel::OneShot => 0,
-                    },
+                    p_bits: c.p_bits,
                     deadline: c.deadline,
                     members: c.members.clone(),
-                    fresh: c.fresh as u64,
                 })
                 .collect(),
             classes,
-            kernel: if self.config.fidelity == Fidelity::Vectorized {
+            kernel: if self.config.fidelity != Fidelity::Exact {
                 self.kernel.save()
             } else {
                 Vec::new()
@@ -2579,9 +2484,9 @@ impl Engine {
 
         self.begin();
 
-        // Run-state scalars and the two stateful RNG streams. (Everything
-        // else draws from counter-based streams keyed on `(key, slot,
-        // phase)`, which need no repositioning.)
+        // Run-state scalars and the jammer's stateful RNG stream.
+        // (Everything else draws from counter-based streams keyed on
+        // `(key, slot, phase)`, which need no repositioning.)
         {
             let st = self.run_state.as_mut().expect("begin installs run state");
             st.slot = ck.slot;
@@ -2592,15 +2497,6 @@ impl Engine {
             st.sched_stats.gap_slots = ck.gap_slots;
             st.contention_sum = f64::from_bits(ck.contention_sum_bits);
             st.jam_rng.set_word_pos(ck.jam_word_pos);
-            match (st.cohort_rng.as_mut(), ck.cohort_word_pos) {
-                (Some(rng), Some(pos)) => rng.set_word_pos(pos),
-                (None, None) => {}
-                _ => {
-                    return Err(CheckpointError::Mismatch(
-                        "cohort stream presence differs from the checkpoint".into(),
-                    ))
-                }
-            }
         }
 
         self.jobs.outcomes.copy_from_slice(&ck.outcomes);
@@ -2649,25 +2545,16 @@ impl Engine {
         self.duty.dead_backstops = ck.duty.dead_backstops;
 
         // Cohort aggregates, verbatim — member order drives winner
-        // selection and the one-shot fresh/spent prefix split.
+        // selection. Each cohort's counter key is re-derived from the seed.
         self.cohorts.clear();
         for c in &ck.cohorts {
-            if c.fresh as usize > c.members.len() {
-                return Err(CheckpointError::Mismatch(
-                    "cohort fresh prefix exceeds member count".into(),
-                ));
-            }
             self.cohorts.total += c.members.len();
             self.cohorts.cohorts.push(Cohort {
-                model: if c.one_shot {
-                    CohortModel::OneShot
-                } else {
-                    CohortModel::Constant { p_bits: c.p_bits }
-                },
                 p: f64::from_bits(c.p_bits),
+                p_bits: c.p_bits,
                 deadline: c.deadline,
+                key: cohort_key(&self.seeds, c.p_bits, c.deadline),
                 members: c.members.clone(),
-                fresh: c.fresh as usize,
             });
         }
 
@@ -2736,13 +2623,13 @@ impl Engine {
 
         // The vectorized kernel (prepared by `begin`): buckets, calendar,
         // and per-job homes from the flat blob.
-        if self.config.fidelity == Fidelity::Vectorized {
+        if self.config.fidelity != Fidelity::Exact {
             if !self.kernel.load(&ck.kernel, &self.jobs.keys) {
                 return Err(CheckpointError::Mismatch("kernel blob is malformed".into()));
             }
         } else if !ck.kernel.is_empty() {
             return Err(CheckpointError::Mismatch(
-                "kernel blob present but fidelity is not vectorized".into(),
+                "kernel blob present but fidelity is exact".into(),
             ));
         }
 

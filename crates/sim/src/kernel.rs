@@ -1,16 +1,18 @@
-//! The vectorized slot kernel behind [`Fidelity::Vectorized`].
+//! The vectorized slot kernel behind [`Fidelity::Vectorized`], which also
+//! runs the one-shot jobs of [`Fidelity::Cohort`].
 //!
 //! Jobs whose protocol exposes a [`CohortTx`] profile are lifted out of
 //! the per-job dispatch loop into two flat structures:
 //!
-//! - **Bernoulli buckets** ([`CohortTx::Constant`]): jobs sharing
+//! - **Bernoulli buckets** ([`CohortTx::Constant`], vectorized fidelity
+//!   only — cohort fidelity samples these as binomial cohorts): jobs sharing
 //!   `(p, deadline)` sit in one bucket as parallel `keys`/`jobs` lanes
 //!   with a 64-lane-per-word liveness bitmask. Each slot the kernel
 //!   evaluates the counter-based draw `replay_bernoulli(key, slot, p)`
 //!   for every live lane in a tight pass — no protocol calls, no
 //!   per-job state, no branches on dead lanes beyond the mask.
-//! - **One-shot calendar** ([`CohortTx::OneShot`]): the single
-//!   transmission slot is precomputed at activation from the same pure
+//! - **One-shot calendar** ([`CohortTx::OneShot`], both fidelities): the
+//!   single transmission slot is precomputed at activation from the same pure
 //!   draw the exact path's `on_activate` makes, and pushed into a
 //!   min-heap keyed by that slot. Due entries pop in O(log n); slots
 //!   with no due entry cost a peek.
@@ -24,6 +26,7 @@
 //! partitioning (`tests/partition_invariance.rs`).
 //!
 //! [`Fidelity::Vectorized`]: crate::engine::Fidelity::Vectorized
+//! [`Fidelity::Cohort`]: crate::engine::Fidelity::Cohort
 //! [`CohortTx`]: crate::engine::CohortTx
 //! [`CohortTx::Constant`]: crate::engine::CohortTx::Constant
 //! [`CohortTx::OneShot`]: crate::engine::CohortTx::OneShot
@@ -111,7 +114,7 @@ enum Home {
 
 /// The vectorized slot kernel: batched Bernoulli buckets plus a
 /// one-shot transmission calendar. Owned by the engine; inert (and
-/// allocation-free) unless the run's fidelity is `Vectorized`.
+/// allocation-free) when the run's fidelity is `Exact`.
 pub(crate) struct SlotKernel {
     berns: Vec<BernBucket>,
     /// One-shot calendar: `(transmission slot, job index)` min-heap.

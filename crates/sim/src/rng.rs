@@ -21,7 +21,9 @@ pub enum StreamLabel {
     Trial,
     /// Workload/instance generation.
     Workload,
-    /// Aggregate cohort draws under [`crate::engine::Fidelity::Cohort`].
+    /// Per-cohort counter-RNG keys for the constant-`p` cohorts of
+    /// [`crate::engine::Fidelity::Cohort`]; index = the cohort's
+    /// `(p_bits, deadline)` grouping key.
     Cohort,
     /// Per-class counter-RNG keys for phase-synchronized aggregate classes
     /// ([`crate::classes::ClassDriver`]); index = the class grouping key.

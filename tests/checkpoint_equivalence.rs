@@ -10,7 +10,7 @@
 //! [`ClassDriver`], a proptest over random populations and snapshot
 //! slots, and typed-error coverage for the documented unsupported cases
 //! (trace recording, protocols without state capture, mismatched
-//! construction fingerprints).
+//! construction fingerprints and wire-format versions).
 //!
 //! [`SimReport`]: contention_deadlines::sim::metrics::SimReport
 //! [`ClassDriver`]: contention_deadlines::sim::classes::ClassDriver
@@ -18,7 +18,9 @@
 mod testkit;
 
 use contention_deadlines::protocols::{AlignedParams, AlignedProtocol};
-use contention_deadlines::sim::checkpoint::{Checkpoint, CheckpointError, StatePack, StateReader};
+use contention_deadlines::sim::checkpoint::{
+    Checkpoint, CheckpointError, StatePack, StateReader, CHECKPOINT_VERSION,
+};
 use contention_deadlines::sim::classes::{ClassCtx, ClassDriver, ClassEvent, ClassSlot};
 use contention_deadlines::sim::crng::{CounterRng, Phase};
 use contention_deadlines::sim::engine::{Action, CohortTx, Engine, EngineConfig, JobCtx, Protocol};
@@ -147,20 +149,28 @@ fn protocol_adversary_grid_exact() {
 
 /// Cohort and vectorized fidelities on mixed populations: aggregate- and
 /// kernel-eligible jobs (constant-probability ALOHA, one-shot UNIFORM)
-/// interleaved with exact-path protocols, so the snapshot has to capture
-/// cohort RNG position, kernel calendar, and per-job state side by side.
+/// interleaved with exact-path protocols. The cohort population also holds
+/// one aggregate class ([`ClassAloha`]), so its snapshot has to capture the
+/// kernel calendar, the counter-keyed cohorts, a class driver, and per-job
+/// state side by side.
 #[test]
 fn mixed_populations_cohort_and_vectorized() {
-    let mixed = |s: &JobSpec| {
+    let base = staggered(30, 7, 300);
+    let mut with_class = base.clone();
+    with_class.extend((30..36).map(|i| JobSpec::new(i, 20, 320)));
+    let mixed = |s: &JobSpec| -> Box<dyn Protocol> {
+        if s.id >= 30 {
+            return Box::new(ClassAloha(0.02));
+        }
         protocol_pick(match s.id % 3 {
             0 => 5, // constant-p ALOHA
             1 => 0, // one-shot UNIFORM
             _ => 2, // sawtooth (exact path under every fidelity)
         } as usize)
     };
-    for (fname, config) in [
-        ("cohort", EngineConfig::default().cohort()),
-        ("vectorized", EngineConfig::default().vectorized()),
+    for (fname, config, jobs) in [
+        ("cohort", EngineConfig::default().cohort(), &with_class),
+        ("vectorized", EngineConfig::default().vectorized(), &base),
     ] {
         for (ji, (jname, jammer)) in jammers().iter().enumerate() {
             let seed = 4000 + ji as u64;
@@ -169,7 +179,7 @@ fn mixed_populations_cohort_and_vectorized() {
                 &config,
                 jammer.as_ref(),
                 seed,
-                &staggered(30, 7, 300),
+                jobs,
                 mixed,
                 150,
             );
@@ -326,6 +336,18 @@ fn unsupported_and_mismatched_cases_are_typed_errors() {
         matches!(wrong.restore(&ck), Err(CheckpointError::Mismatch(_))),
         "restore must reject a mismatched construction fingerprint"
     );
+    // So does one written under another wire-format version, even when
+    // everything else about it would restore.
+    for version in [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1] {
+        let stale = Checkpoint {
+            version,
+            ..ck.clone()
+        };
+        assert!(
+            matches!(build(1).restore(&stale), Err(CheckpointError::Mismatch(_))),
+            "restore must reject checkpoint version {version}"
+        );
+    }
     let mut right = build(1);
     right.restore(&ck).expect("matching construction restores");
 }

@@ -12,10 +12,14 @@
 //! The grid: pure single-probability ALOHA, multi-bucket ALOHA, one-shot
 //! UNIFORM, and mixed kernel + exact-path populations, each crossed with
 //! the full jammer grid and both scheduling modes, plus a proptest over
-//! random populations. `declared_contention` is excluded as everywhere
-//! else (parked and kernel-managed jobs are not polled for diagnostics).
+//! random populations. One-shot UNIFORM is checked under
+//! [`Fidelity::Cohort`] too, which routes it through the same kernel
+//! calendar and so owes the same bit identity. `declared_contention` is
+//! excluded as everywhere else (parked and kernel-managed jobs are not
+//! polled for diagnostics).
 //!
 //! [`Fidelity::Vectorized`]: contention_deadlines::sim::engine::Fidelity::Vectorized
+//! [`Fidelity::Cohort`]: contention_deadlines::sim::engine::Fidelity::Cohort
 //! [`CohortTx`]: contention_deadlines::sim::engine::CohortTx
 
 mod testkit;
@@ -24,13 +28,13 @@ use contention_deadlines::baselines::{FixedProbability, Sawtooth};
 use contention_deadlines::protocols::{
     AlignedParams, AlignedProtocol, PunctualParams, PunctualProtocol, Uniform,
 };
-use contention_deadlines::sim::engine::{Engine, EngineConfig};
+use contention_deadlines::sim::engine::{Engine, EngineConfig, Fidelity};
 use contention_deadlines::sim::job::JobSpec;
 use proptest::prelude::*;
 use testkit::{assert_config_equiv, jammer_pick, jammers, staggered};
 
-/// Exact vs vectorized under both scheduling modes, full observables.
-fn assert_kernel_equiv<F>(label: &str, seed: u64, jammer_name: &str, setup: F)
+/// Exact vs `fidelity` under both scheduling modes, full observables.
+fn assert_kernel_equiv<F>(label: &str, fidelity: Fidelity, seed: u64, jammer_name: &str, setup: F)
 where
     F: Fn(&mut Engine),
 {
@@ -39,18 +43,22 @@ where
         .iter()
         .find(|(n, _)| *n == jammer_name)
         .expect("jammer name in grid");
+    let fast = EngineConfig {
+        fidelity,
+        ..EngineConfig::default()
+    };
     assert_config_equiv(
-        &format!("{label} jam={jname} event"),
+        &format!("{label} {fidelity:?} jam={jname} event"),
         EngineConfig::default(),
-        EngineConfig::default().vectorized(),
+        fast.clone(),
         jammer.as_ref(),
         seed,
         &setup,
     );
     assert_config_equiv(
-        &format!("{label} jam={jname} dense"),
+        &format!("{label} {fidelity:?} jam={jname} dense"),
         EngineConfig::default().dense(),
-        EngineConfig::default().vectorized().dense(),
+        fast.dense(),
         jammer.as_ref(),
         seed,
         &setup,
@@ -61,7 +69,7 @@ where
 fn aloha_single_bucket_matches_exact() {
     for (jname, _) in jammers() {
         for seed in 0..4u64 {
-            assert_kernel_equiv("aloha", seed, jname, |e| {
+            assert_kernel_equiv("aloha", Fidelity::Vectorized, seed, jname, |e| {
                 for spec in staggered(24, 37, 1 << 10) {
                     e.add_job(spec, Box::new(FixedProbability::new(0.04)));
                 }
@@ -78,7 +86,7 @@ fn aloha_multi_bucket_matches_exact() {
     let ps = [0.01f64, 0.05, 0.12];
     for (jname, _) in jammers() {
         for seed in 0..3u64 {
-            assert_kernel_equiv("aloha-buckets", seed, jname, |e| {
+            assert_kernel_equiv("aloha-buckets", Fidelity::Vectorized, seed, jname, |e| {
                 for i in 0..30u32 {
                     let r = u64::from(i % 5) * 11;
                     let w = if i % 2 == 0 { 600 } else { 900 };
@@ -94,13 +102,17 @@ fn aloha_multi_bucket_matches_exact() {
 
 #[test]
 fn uniform_oneshot_matches_exact() {
-    for (jname, _) in jammers() {
-        for seed in 0..4u64 {
-            assert_kernel_equiv("uniform-oneshot", seed, jname, |e| {
-                for spec in staggered(16, 53, 1 << 9) {
-                    e.add_job(spec, Box::new(Uniform::single()));
-                }
-            });
+    // Cohort fidelity sends one-shot jobs to the same kernel calendar, so
+    // it owes exact the same bit identity as vectorized does.
+    for fidelity in [Fidelity::Vectorized, Fidelity::Cohort] {
+        for (jname, _) in jammers() {
+            for seed in 0..4u64 {
+                assert_kernel_equiv("uniform-oneshot", fidelity, seed, jname, |e| {
+                    for spec in staggered(16, 53, 1 << 9) {
+                        e.add_job(spec, Box::new(Uniform::single()));
+                    }
+                });
+            }
         }
     }
 }
@@ -113,7 +125,7 @@ fn mixed_kernel_and_exact_population_matches_exact() {
     // the same channel in both modes.
     for (jname, _) in jammers() {
         for seed in 0..4u64 {
-            assert_kernel_equiv("mixed", seed, jname, |e| {
+            assert_kernel_equiv("mixed", Fidelity::Vectorized, seed, jname, |e| {
                 let w = 1u64 << 10;
                 let mut id = 0u32;
                 let mut add =
