@@ -3,11 +3,19 @@
 //! The memoryless baseline — useful as a contention "dial" in experiment
 //! E1 (measuring Lemma 2's contention/success relationship) and as a naive
 //! comparator in the end-to-end shootout.
+//!
+//! Instead of one Bernoulli(`p`) coin per slot, the protocol draws the
+//! geometric gap to its next transmission ([`dcr_sim::crng::geometric`]):
+//! once at activation, then once on each transmit slot. The transmission
+//! process has the same law, and every slot in between is a promised
+//! [`Action::Sleep`] that draws nothing, so the event-driven engine parks
+//! the job across it ([`Protocol::next_wake`]).
 
-use dcr_sim::engine::{Action, CohortTx, JobCtx, Protocol};
+use dcr_sim::crng::geometric;
+use dcr_sim::engine::{Action, JobCtx, Protocol};
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// Transmit the data message with probability `p` in every slot until it
 /// gets through.
@@ -15,6 +23,8 @@ use rand::{Rng, RngCore};
 pub struct FixedProbability {
     p: f64,
     succeeded: bool,
+    /// Local slot of the next transmission (past the window = never).
+    next_tx: u64,
 }
 
 impl FixedProbability {
@@ -24,6 +34,7 @@ impl FixedProbability {
         Self {
             p,
             succeeded: false,
+            next_tx: u64::MAX,
         }
     }
 
@@ -43,14 +54,22 @@ impl FixedProbability {
 }
 
 impl Protocol for FixedProbability {
+    fn on_activate(&mut self, _ctx: &JobCtx, rng: &mut dyn RngCore) {
+        // A gap of G slots to the first success puts it at local slot
+        // G - 1; a "never" gap stays past any window.
+        self.next_tx = geometric(rng.next_u64(), self.p) - 1;
+    }
+
     fn act(&mut self, ctx: &JobCtx, rng: &mut dyn RngCore) -> Action {
-        if !self.succeeded && rng.gen_bool(self.p) {
-            Action::Transmit(Payload::Data(ctx.id))
-        } else {
+        if self.succeeded || ctx.local_time != self.next_tx {
             // Memoryless and non-adaptive: no need to listen between
             // attempts.
-            Action::Sleep
+            return Action::Sleep;
         }
+        self.next_tx = ctx
+            .local_time
+            .saturating_add(geometric(rng.next_u64(), self.p));
+        Action::Transmit(Payload::Data(ctx.id))
     }
 
     fn on_feedback(&mut self, ctx: &JobCtx, fb: &Feedback, _rng: &mut dyn RngCore) {
@@ -69,32 +88,30 @@ impl Protocol for FixedProbability {
         Some(if self.succeeded { 0.0 } else { self.p })
     }
 
-    fn cohort_tx(&self, ctx: &JobCtx) -> Option<CohortTx> {
-        // ALOHA is *exactly* the cohort model: Bernoulli(p) every slot,
-        // never listening, until delivery. Probed jobs stay on the exact
-        // path so their event streams keep flowing.
-        if ctx.probed {
-            None
+    fn next_wake(&self, _ctx: &JobCtx) -> Option<u64> {
+        Some(if self.succeeded {
+            u64::MAX
         } else {
-            Some(CohortTx::Constant { p: self.p })
-        }
+            self.next_tx
+        })
     }
 
     fn save_state(&self) -> Option<Vec<u64>> {
         let mut p = dcr_sim::checkpoint::StatePack::new();
-        p.flag(self.succeeded);
+        p.flag(self.succeeded).word(self.next_tx);
         Some(p.finish())
     }
 
     fn restore_state(&mut self, state: &[u64]) -> bool {
         let mut r = dcr_sim::checkpoint::StateReader::new(state);
-        let Some(succeeded) = r.flag() else {
+        let (Some(succeeded), Some(next_tx)) = (r.flag(), r.word()) else {
             return false;
         };
         if !r.done() {
             return false;
         }
         self.succeeded = succeeded;
+        self.next_tx = next_tx;
         true
     }
 }
@@ -150,6 +167,41 @@ mod tests {
             probed: false,
         };
         assert!((proto.tx_probability(&ctx).unwrap() - 0.01).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restore_mid_gap_resumes_the_same_transmit_slots() {
+        use dcr_sim::crng::{CounterRng, Phase};
+        let key = 0x5EED;
+        let ctx = |local_time| JobCtx {
+            id: 0,
+            window: 1 << 12,
+            local_time,
+            aligned_time: None,
+            probed: false,
+        };
+        // Transmit slots in `range`, driving `a` with the job's own draws.
+        let tx_slots = |a: &mut FixedProbability, range: std::ops::Range<u64>| -> Vec<u64> {
+            range
+                .filter(|&t| {
+                    let mut rng = CounterRng::new(key, t, Phase::Act);
+                    matches!(a.act(&ctx(t), &mut rng), Action::Transmit(_))
+                })
+                .collect()
+        };
+        let mut a = FixedProbability::new(0.02);
+        a.on_activate(&ctx(0), &mut CounterRng::new(key, 0, Phase::Activate));
+        let before = tx_slots(&mut a, 0..1000);
+        let last = *before.last().expect("p = 0.02 transmits within 1000 slots");
+        // Pause strictly inside a gap: after the last transmission, before
+        // the next one.
+        assert!(a.next_tx >= 1000 && last < 999);
+        let mut b = FixedProbability::new(0.02);
+        assert!(b.restore_state(&a.save_state().expect("capturable")));
+        assert_eq!(b.next_wake(&ctx(999)), a.next_wake(&ctx(999)));
+        let want = tx_slots(&mut a, 1000..4096);
+        assert!(!want.is_empty());
+        assert_eq!(tx_slots(&mut b, 1000..4096), want);
     }
 
     #[test]

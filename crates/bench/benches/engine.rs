@@ -59,8 +59,7 @@ fn bench_jammer_overhead(c: &mut Criterion) {
 
 /// Event-driven parking vs dense polling on a parkable workload: UNIFORM
 /// jobs sleep in all but their one chosen slot, so wake hints collapse the
-/// window. (`FixedProbability` opts out of hints, so the groups above
-/// measure the dense path in both modes.)
+/// window.
 fn bench_scheduling(c: &mut Criterion) {
     let n = 100u32;
     let window = 1u64 << 14;
@@ -132,23 +131,12 @@ fn bench_trial_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Vectorized slot kernel vs the exact per-job dispatch loop, on the two
-/// populations the kernel owns: a wide ALOHA cohort (the chunked
-/// Bernoulli lanes) and a one-shot UNIFORM batch (the transmission
+/// Vectorized slot kernel vs the exact per-job dispatch loop, on the
+/// population the kernel owns: a one-shot UNIFORM batch (the transmission
 /// calendar). Both fidelities produce bit-identical reports (DESIGN.md
 /// §3f); the spread is pure dispatch cost.
 fn bench_kernel(c: &mut Criterion) {
     let window = 1u64 << 12;
-    let run_aloha = |n: u32, config: EngineConfig| {
-        let mut e = Engine::new(config, 42);
-        for i in 0..n {
-            e.add_job(
-                JobSpec::new(i, 0, window),
-                Box::new(FixedProbability::new(2.0 / window as f64)),
-            );
-        }
-        e.run().slots_run
-    };
     let run_oneshot = |n: u32, config: EngineConfig| {
         let mut e = Engine::new(config, 42);
         for i in 0..n {
@@ -159,12 +147,6 @@ fn bench_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/kernel");
     group.throughput(Throughput::Elements(window));
     for n in [1_000u32, 10_000] {
-        group.bench_with_input(BenchmarkId::new("aloha/exact", n), &n, |b, &n| {
-            b.iter(|| run_aloha(n, EngineConfig::default().dense()));
-        });
-        group.bench_with_input(BenchmarkId::new("aloha/vectorized", n), &n, |b, &n| {
-            b.iter(|| run_aloha(n, EngineConfig::default().vectorized().dense()));
-        });
         group.bench_with_input(BenchmarkId::new("oneshot/exact", n), &n, |b, &n| {
             b.iter(|| run_oneshot(n, EngineConfig::default()));
         });

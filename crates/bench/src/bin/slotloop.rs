@@ -1,28 +1,20 @@
 //! Slot-loop throughput benchmark: dense polling vs event-driven parking.
 //!
 //! Runs a handful of large-window experiment-style workloads (the shapes
-//! of E9, E10, and E17) under both [`Scheduling`] modes, cross-checks that
-//! the reports agree (the equivalence the wake-hint contract promises),
-//! and writes before/after slots-per-second plus speedups to
-//! `BENCH_slotloop.json` at the workspace root.
+//! of E9, E10, E17, and a 2000-job ALOHA population at p = 1/1000 that
+//! sleeps through its geometric gaps) under both [`Scheduling`] modes,
+//! cross-checks that the reports agree (the equivalence the wake-hint
+//! contract promises), and writes before/after slots-per-second plus
+//! speedups to `BENCH_slotloop.json` at the workspace root.
 //!
-//! One additional row (`mode: "cohort"`) measures [`Fidelity::Cohort`]'s
-//! constant-p binomial cohorts on a 2000-job ALOHA population at
-//! p = 1/1000. Cohort mode is statistically — not bit- — equivalent to the
-//! exact path for such jobs, so that row compares against the exact engine
-//! under *event* scheduling (its `dense_slots_per_sec` field holds the
-//! exact-fidelity event-mode rate), cross-checks the success fractions
-//! instead of the full reports, and asserts a ≥ 5× speedup floor.
-//!
-//! Two `mode: "vectorized"` rows measure [`Fidelity::Vectorized`]
+//! One `mode: "vectorized"` row measures [`Fidelity::Vectorized`]
 //! (DESIGN.md §3f) against the exact engine on a 10⁵-job UNIFORM
-//! population and on a 10⁵-lane dense ALOHA population. Vectorized is
-//! *bit-identical* to exact, so these rows assert full report equality
-//! (outcomes, counts, accesses, slots run) before reporting the speedup;
-//! as with the cohort row, `dense_slots_per_sec` holds the exact rate and
+//! population. Vectorized is *bit-identical* to exact, so the row asserts
+//! full report equality (outcomes, counts, accesses, slots run) before
+//! reporting the speedup; `dense_slots_per_sec` holds the exact rate and
 //! `event_slots_per_sec` the kernel rate.
 //!
-//! Two further `mode: "cohort"` rows measure the aggregate class profiles
+//! Two `mode: "cohort"` rows measure the aggregate class profiles
 //! (DESIGN.md §3g) on ALIGNED and PUNCTUAL batches at n = 10⁵ — exact vs
 //! cohort fidelity, event scheduling on both sides, with a hard ≥ 5×
 //! speedup floor — and two `mode: "cohort-only"` rows record single-rep
@@ -38,10 +30,10 @@
 //! (DESIGN.md §3j): an 8-way adversary sweep over a population whose cost
 //! concentrates in a 75%-length shared prefix, run once through
 //! `snapshot`/`restore` fan-out and once as 8 independent full runs —
-//! both strictly sequential, so the speedup is pure prefix amortization
-//! with no parallelism in the ratio. Every branched report must be
-//! byte-identical to its independent twin, and the row asserts a ≥ 3×
-//! wall-clock floor (the PR's acceptance gate).
+//! both strictly sequential and densely polled, so the speedup is pure
+//! prefix amortization with no parallelism in the ratio. Every branched
+//! report must be byte-identical to its independent twin, and the row
+//! asserts a ≥ 3× wall-clock floor (the PR's acceptance gate).
 //!
 //! A final pass re-measures the two e10 Poisson rows with the workspace
 //! telemetry registry armed ([`dcr_telemetry::install`]) and records the
@@ -337,9 +329,7 @@ fn punctual_scale_batch(n: u32, window: u64) -> Workload {
     w
 }
 
-/// An ALOHA population of `n` jobs at fixed `p`, named `e1-aloha-{kind}`:
-/// one Bernoulli bucket of `n` lanes under [`Fidelity::Vectorized`], one
-/// binomial cohort under [`Fidelity::Cohort`].
+/// An ALOHA population of `n` jobs at fixed `p`, named `e1-aloha-{kind}`.
 fn aloha(kind: &str, n: u32, window: u64, p: f64) -> Workload {
     Workload {
         name: format!("e1-aloha-{kind} n={n} w=2^{}", window.trailing_zeros()),
@@ -357,8 +347,10 @@ fn aloha(kind: &str, n: u32, window: u64, p: f64) -> Workload {
 /// The branch-and-replay showcase: a population whose simulation cost
 /// concentrates in the shared prefix. 512 ALOHA stations live exactly for
 /// the 75%-length prefix and expire at its boundary; 4 persistent control
-/// probes span the whole window, keeping the suffix live (and the
-/// scheduler dense) at a small fraction of the prefix's per-slot cost.
+/// probes span the whole window, keeping the suffix live at a small
+/// fraction of the prefix's per-slot cost. The run polls densely: under
+/// event scheduling the stations sleep through their geometric gaps and
+/// the prefix costs next to nothing, leaving no shared work to amortize.
 fn branch_decay(window: u64) -> Workload {
     let prefix = window / 4 * 3;
     let mut jobs: Vec<(JobSpec, ProtocolFactory)> = (0..512u32)
@@ -376,7 +368,7 @@ fn branch_decay(window: u64) -> Workload {
     Workload {
         name: format!("branch-decay n=516 w=2^{}", window.trailing_zeros()),
         jobs,
-        config: EngineConfig::default(),
+        config: EngineConfig::default().dense(),
     }
 }
 
@@ -386,6 +378,7 @@ fn main() {
         poisson_punctual(0.02, 1 << 17),
         poisson_uniform(0.02, 1 << 17),
         backoff_mix(64, 1 << 16),
+        aloha("hinted", 2_000, 1 << 13, 1.0 / 1000.0),
     ];
 
     let mut rows = Vec::new();
@@ -448,89 +441,14 @@ fn main() {
         });
     }
 
-    // Cohort row: exact vs cohort fidelity on the constant-p cohort's
-    // home workload, both event-driven.
+    // Vectorized row: exact vs vectorized fidelity, both event-driven,
+    // gated on full bit-identity of the reports.
     {
-        let w = aloha("cohort", 2_000, 1 << 13, 1.0 / 1000.0);
+        let w = uniform_cohort(100_000, 1 << 19);
         let rss = RssProbe::start();
         let (exact_rate, exact_report) = best_rate(&w, Scheduling::EventDriven, Fidelity::Exact);
-        let (cohort_rate, cohort_report) = best_rate(&w, Scheduling::EventDriven, Fidelity::Cohort);
-        // Statistical cross-check: nearly every job delivers under both
-        // fidelities, so a 2% band is many sigma wide while still
-        // catching any modelling error.
-        let (ef, cf) = (
-            exact_report.success_fraction(),
-            cohort_report.success_fraction(),
-        );
-        assert!(
-            (ef - cf).abs() < 0.02,
-            "{}: cohort success fraction {cf:.4} vs exact {ef:.4}",
-            w.name
-        );
-        let speedup = if exact_rate > 0.0 {
-            cohort_rate / exact_rate
-        } else {
-            f64::NAN
-        };
-        // The binomial cohort earns its place only while it beats the
-        // exact engine: >= 5x on the same machine, like the class rows.
-        assert!(
-            speedup >= 5.0,
-            "{}: cohort speedup {speedup:.2}x is below the 5x floor",
-            w.name
-        );
-        let sched = cohort_report.sched_stats;
-        let (rss_bytes, rss_scope) = rss.finish();
-        println!(
-            "{:48} jobs={:4} slots={:8}  exact {:>12.0}/s  cohort {:>11.0}/s  speedup {:5.2}x  \
-             (success {:.3} vs {:.3})",
-            w.name,
-            w.jobs.len(),
-            cohort_report.slots_run,
-            exact_rate,
-            cohort_rate,
-            speedup,
-            cf,
-            ef,
-        );
-        rows.push(Row {
-            workload: w.name.clone(),
-            jobs: w.jobs.len(),
-            slots_run: cohort_report.slots_run,
-            mode: "cohort",
-            dense_slots_per_sec: exact_rate,
-            event_slots_per_sec: cohort_rate,
-            speedup,
-            gap_skips: sched.gap_skips,
-            gap_slots: sched.gap_slots,
-            skipped_fraction: sched.skipped_fraction(cohort_report.slots_run),
-            parks: sched.parks,
-            peak_parked: sched.peak_parked,
-            peak_rss_bytes: rss_bytes,
-            rss_scope,
-            telemetry_parity: None,
-        });
-    }
-
-    // Vectorized rows: exact vs vectorized fidelity under identical
-    // scheduling, gated on full bit-identity of the reports.
-    for (w, scheduling, sched_name) in [
-        (
-            uniform_cohort(100_000, 1 << 19),
-            Scheduling::EventDriven,
-            "event",
-        ),
-        // Dense: all lanes polled every slot, the workload the kernel's
-        // 64-lane word pass targets.
-        (
-            aloha("lanes", 100_000, 1 << 11, 2.0 / 2048.0),
-            Scheduling::Dense,
-            "dense",
-        ),
-    ] {
-        let rss = RssProbe::start();
-        let (exact_rate, exact_report) = best_rate(&w, scheduling, Fidelity::Exact);
-        let (vector_rate, vector_report) = best_rate(&w, scheduling, Fidelity::Vectorized);
+        let (vector_rate, vector_report) =
+            best_rate(&w, Scheduling::EventDriven, Fidelity::Vectorized);
         assert_eq!(
             exact_report.outcomes(),
             vector_report.outcomes(),
@@ -560,7 +478,7 @@ fn main() {
         let sched = vector_report.sched_stats;
         let (rss_bytes, rss_scope) = rss.finish();
         println!(
-            "{:48} jobs={:4} slots={:8}  exact {:>12.0}/s  vector {:>11.0}/s  speedup {:5.2}x  ({sched_name})",
+            "{:48} jobs={:4} slots={:8}  exact {:>12.0}/s  vector {:>11.0}/s  speedup {:5.2}x",
             w.name,
             w.jobs.len(),
             vector_report.slots_run,

@@ -24,7 +24,7 @@
 //! All draws come from [`CounterRng`] streams keyed on
 //! `(class_seed, slot, phase)`: [`Phase::Act`] for the per-slot count,
 //! [`Phase::Activate`] for winner selection. Runs are therefore exactly
-//! replayable and shard-invariant, per the [`dcr_sim::classes`] contract.
+//! replayable, per the [`dcr_sim::classes`] contract.
 
 use crate::aligned::estimator::Estimation;
 use crate::aligned::params::AlignedParams;

@@ -35,7 +35,7 @@
 //!
 //! The fidelity contract matches [`dcr_sim::classes`]: statistical
 //! equivalence with the exact path (Wilson-interval checked in
-//! `tests/cohort_equivalence.rs`), exact replay, shard invariance.
+//! `tests/cohort_equivalence.rs`) and exact replay.
 
 use crate::aligned::cohort::{aligned_class_tag, AlignedCohort};
 use crate::punctual::messages::PunctualMsg;

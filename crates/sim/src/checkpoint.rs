@@ -25,14 +25,14 @@
 //!   ([`crate::engine::Protocol::save_state`]);
 //! * duty groups verbatim, including member order (the listen-representative
 //!   is the first member, so order affects behavior);
-//! * cohort aggregates and phase-synchronized class drivers
+//! * phase-synchronized class drivers
 //!   ([`crate::classes::ClassDriver::save_state`]);
-//! * the vectorized kernel's buckets and one-shot calendar (it runs under
-//!   both cohort and vectorized fidelity);
+//! * the vectorized kernel's one-shot calendar (it runs under both cohort
+//!   and vectorized fidelity);
 //! * the jammer's counters and adversary state
 //!   ([`crate::jamming::Adversary::save_state`]);
 //! * the word position of the one stateful RNG stream, the jammer's.
-//!   Everything else — cohort draws included — comes from counter-based
+//!   Everything else — class draws included — comes from counter-based
 //!   streams that are pure functions of `(key, slot, phase)` and need no
 //!   capture at all.
 //!
@@ -63,7 +63,7 @@ use std::fmt;
 
 /// Version tag of the checkpoint wire format. Bump on any layout change;
 /// [`crate::engine::Engine::restore`] rejects other versions.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A complete engine-state image at a slot boundary. See the
 /// [module docs](self) for the capture contract.
@@ -109,8 +109,6 @@ pub struct Checkpoint {
     pub protocol_state: Vec<Option<Vec<u64>>>,
     /// Duty groups and per-job duty bookkeeping, verbatim.
     pub duty: DutySnap,
-    /// Constant-`p` cohort aggregates (cohort fidelity).
-    pub cohorts: Vec<CohortSnap>,
     /// Phase-synchronized class aggregates (cohort fidelity).
     pub classes: Vec<ClassSnap>,
     /// The vectorized kernel's state as one flat word blob (empty under
@@ -177,19 +175,6 @@ pub struct DutySnap {
     pub backstopped: Vec<bool>,
     /// Backstop queue entries whose job already left the duty layer.
     pub dead_backstops: u64,
-}
-
-/// One constant-`p` cohort aggregate — **member order matters** (winner
-/// selection is a uniform index draw). The cohort's counter-RNG key is
-/// re-derived from the seed and `(p_bits, deadline)` on restore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CohortSnap {
-    /// `p.to_bits()` of the constant per-slot probability.
-    pub p_bits: u64,
-    /// Shared deadline.
-    pub deadline: u64,
-    /// Live member job indices, in engine order.
-    pub members: Vec<u32>,
 }
 
 /// One phase-synchronized class aggregate. The driver is rebuilt through
@@ -476,11 +461,6 @@ mod tests {
                 backstopped: vec![true, false, false],
                 dead_backstops: 1,
             },
-            cohorts: vec![CohortSnap {
-                p_bits: 0.25f64.to_bits(),
-                deadline: 256,
-                members: vec![5, 7, 6],
-            }],
             classes: vec![ClassSnap {
                 tag: 11,
                 release: 0,
@@ -489,7 +469,7 @@ mod tests {
                 opener: 5,
                 state: vec![3, 5, 6, 7],
             }],
-            kernel: vec![0, 9, 9],
+            kernel: vec![1, 9, 4, 1, 64, 1, 1, 4],
             jams_attempted: 12,
             jams_succeeded: 4,
             adversary: vec![1],

@@ -1,12 +1,11 @@
 //! Phase-synchronized aggregate classes — the million-job fidelity layer.
 //!
-//! [`crate::engine::CohortTx::Constant`] covers the memoryless profile: a
-//! cohort member never listens and never changes its law in response to
-//! feedback, so the whole cohort is a single binomial per slot (one-shot
-//! UNIFORM, [`crate::engine::CohortTx::OneShot`], rides the vectorized
-//! kernel's calendar instead, under both aggregate fidelities). The paper's headline protocols (ALIGNED, PUNCTUAL) are *not*
-//! memoryless — they advance through phases, elect leaders, and react to the
-//! channel — but they are **phase-synchronized**: every member of a class
+//! Memoryless protocols need no aggregate layer: slotted ALOHA runs on the
+//! exact path with geometric wake hints, and one-shot UNIFORM
+//! ([`crate::engine::CohortTx::OneShot`]) rides the vectorized kernel's
+//! calendar under both aggregate fidelities. The paper's headline
+//! protocols (ALIGNED, PUNCTUAL) are *not* memoryless — they advance
+//! through phases, elect leaders, and react to the channel — but they are **phase-synchronized**: every member of a class
 //! (same protocol parameters, same release, same deadline) occupies the same
 //! protocol state in every slot, transmits with the same per-slot
 //! probability, and updates that shared state from the same public feedback.
@@ -31,9 +30,8 @@
 //! seed via [`crate::rng::StreamLabel::Class`] and the class's identity
 //! `(tag, release, deadline)`. Construction of a counter RNG is free and the
 //! stream depends only on the key and the slot number — never on scheduling
-//! order or shard layout — so aggregate runs are exactly replayable and
-//! shard/partition-invariant, matching the PR 6 contract for the vectorized
-//! kernel.
+//! order — so aggregate runs are exactly replayable, like the vectorized
+//! kernel's.
 //!
 //! ## Fidelity contract
 //!

@@ -5,18 +5,15 @@
 //! where `job_key` is derived from the trial seed and job id by
 //! [`SeedSeq::job_key`](crate::rng::SeedSeq::job_key). A draw is a pure
 //! function of its position — no stream state is stored per job — which
-//! buys three properties the sequential-stream design could not offer:
+//! buys two properties the sequential-stream design could not offer:
 //!
 //! 1. **Batching.** The vectorized slot kernel
-//!    ([`Fidelity::Vectorized`](crate::engine::Fidelity)) evaluates
-//!    thousands of independent Bernoulli draws per slot without
-//!    materializing per-job generators.
-//! 2. **Partition invariance.** A trial split across worker shards is
-//!    bit-identical to the single-threaded run regardless of how jobs
-//!    are partitioned, because no draw depends on any other draw.
-//! 3. **O(1) replay.** Any `(trial, job, slot)` decision can be
-//!    recomputed after the fact — see [`replay_bernoulli`] and
-//!    [`replay_oneshot`] — without re-running the trial.
+//!    ([`Fidelity::Vectorized`](crate::engine::Fidelity)) calendars
+//!    one-shot transmissions without materializing per-job generators.
+//! 2. **Replay.** Any job's transmission schedule can be recomputed after
+//!    the fact without re-running the trial: a one-shot attempt in O(1)
+//!    ([`replay_oneshot`]), and slotted ALOHA one transmission at a time,
+//!    each gap a [`geometric`] of the draw at the previous transmission.
 //!
 //! The block cipher is Philox2x64-10 (Salmon et al., SC'11 "Parallel
 //! random numbers: as easy as 1, 2, 3"), hand-rolled here because the
@@ -133,19 +130,29 @@ pub fn draw(key: u64, slot: u64, phase: Phase) -> u64 {
     philox2x64([slot, (phase as u64) << PHASE_SHIFT], key)[0]
 }
 
-/// Replay a Bernoulli(`p`) transmission decision made in `act` at
-/// `slot` by a job with per-trial key `key`.
+/// The gap `G ∈ {1, 2, …}` to the next success of independent
+/// Bernoulli(`p`) trials, by inversion of the raw word `word`:
+/// `G = 1 + floor(ln U / ln(1 − p))` with `U = 1 − unit_f64(word) ∈ (0, 1]`,
+/// so `P[G > k] = (1 − p)^k` up to the 53-bit resolution of `U`.
 ///
-/// Bit-identical to `CounterRng::new(key, slot, Phase::Act).gen_bool(p)`
-/// — the formula below mirrors the vendored `Rng::gen_bool` exactly
-/// (53-bit mantissa draw compared against `p`). This is the pure
-/// function the vectorized kernel evaluates in bulk, and the O(1)
-/// replay entry point for probe/debug tooling.
+/// `p ≥ 1` gives 1. A gap that does not fit in `u64` — including the
+/// non-finite quotients of a vanishing `p` — is `u64::MAX`, "never". The
+/// denominator is `ln_1p(−p)`, not `(1 − p).ln()`: the latter rounds to 0
+/// for every `p` below about 1e-16, which would make such a job transmit
+/// in every slot instead of almost never.
 #[inline]
 #[must_use]
-pub fn replay_bernoulli(key: u64, slot: u64, p: f64) -> bool {
-    let x = draw(key, slot, Phase::Act);
-    unit_f64(x) < p
+pub fn geometric(word: u64, p: f64) -> u64 {
+    if p >= 1.0 {
+        return 1;
+    }
+    let u = 1.0 - unit_f64(word);
+    let g = (u.ln() / (-p).ln_1p()).floor();
+    if g < u64::MAX as f64 {
+        (g as u64).saturating_add(1)
+    } else {
+        u64::MAX
+    }
 }
 
 /// Replay the transmission slot chosen at activation by a one-shot
@@ -229,18 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_bernoulli_matches_gen_bool() {
-        for key in 0..64u64 {
-            for slot in [0u64, 1, 100, u64::MAX - 1] {
-                for p in [0.0, 0.01, 0.5, 0.99, 1.0] {
-                    let mut r = CounterRng::new(key, slot, Phase::Act);
-                    assert_eq!(r.gen_bool(p), replay_bernoulli(key, slot, p));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn replay_oneshot_matches_gen_range() {
         for key in 0..64u64 {
             for (release, window) in [(0u64, 1u64), (5, 7), (1000, 4096)] {
@@ -263,14 +258,46 @@ mod tests {
         assert_eq!(&buf[8..], &w1[..4]);
     }
 
+    /// 10⁵ geometric gaps drawn from consecutive counter positions.
+    fn gaps(p: f64) -> Vec<u64> {
+        (0..100_000u64)
+            .map(|s| geometric(draw(99, s, Phase::Act), p))
+            .collect()
+    }
+
     #[test]
-    fn bernoulli_rate_is_calibrated() {
-        // 2^14 positions at p = 0.3: the hit rate must be within a few
-        // standard deviations (sigma ~ 0.0036) of p.
-        let n = 1u64 << 14;
-        let hits = (0..n).filter(|&s| replay_bernoulli(99, s, 0.3)).count();
-        #[allow(clippy::cast_precision_loss)]
-        let rate = hits as f64 / n as f64;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate} far from 0.3");
+    fn geometric_is_calibrated() {
+        // P[G = 1] = p and E[G] = 1/p, each within 5 sigma over 10^5 draws.
+        for p in [0.3f64, 0.01] {
+            let g = gaps(p);
+            let n = g.len() as f64;
+            let ones = g.iter().filter(|&&x| x == 1).count() as f64 / n;
+            let sd_one = (p * (1.0 - p) / n).sqrt();
+            assert!((ones - p).abs() < 5.0 * sd_one, "P[G=1] = {ones} vs {p}");
+            let mean = g.iter().map(|&x| x as f64).sum::<f64>() / n;
+            let sd_mean = ((1.0 - p) / (p * p) / n).sqrt();
+            assert!(
+                (mean - 1.0 / p).abs() < 5.0 * sd_mean,
+                "mean gap {mean} vs {}",
+                1.0 / p
+            );
+        }
+    }
+
+    #[test]
+    fn geometric_certain_transmitter_never_waits() {
+        assert!(gaps(1.0).iter().all(|&g| g == 1));
+    }
+
+    #[test]
+    fn geometric_vanishing_p_means_never() {
+        // `(1 - p).ln()` rounds to 0 here and would yield gap 1 — a job
+        // transmitting every slot. `ln_1p` keeps the quotient huge.
+        let g = gaps(f64::MIN_POSITIVE);
+        assert!(
+            g.iter().all(|&x| x == u64::MAX),
+            "a vanishing p transmitted"
+        );
+        assert!(!g.contains(&1));
     }
 }

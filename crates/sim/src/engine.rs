@@ -41,8 +41,8 @@
 //! and the jobs is cleared").
 
 use crate::checkpoint::{
-    Checkpoint, CheckpointError, ClassSnap, CohortSnap, Digest, DutyGroupSnap, DutySnap,
-    ParkedSnap, CHECKPOINT_VERSION,
+    Checkpoint, CheckpointError, ClassSnap, Digest, DutyGroupSnap, DutySnap, ParkedSnap,
+    CHECKPOINT_VERSION,
 };
 use crate::classes::{class_stream_index, ClassCtx, ClassDriver, ClassEntry, ClassEvent, ClassSet};
 use crate::crng::{CounterRng, Phase};
@@ -54,11 +54,11 @@ use crate::metrics::{
     AccessCounts, ContentionStats, JamStats, JobOutcome, SchedStats, SimReport, SlotCounts,
 };
 use crate::probe::{ProbeBus, ProbeEvent, ProbeRecord, ProbeReport, ProbeSpec, VecSink};
-use crate::rng::{sample_binomial, SeedSeq, StreamLabel};
+use crate::rng::{SeedSeq, StreamLabel};
 use crate::sched::WakeQueue;
 use crate::slot::Feedback;
 use crate::trace::{SlotOutcome, SlotRecord};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -114,43 +114,27 @@ impl JobCtx {
 
 /// A transmission profile a protocol can expose so the engine may take the
 /// job off the per-job path under [`Fidelity::Cohort`] or
-/// [`Fidelity::Vectorized`] — in aggregate or through the vectorized
-/// kernel, per variant below.
+/// [`Fidelity::Vectorized`] — through the vectorized kernel or in
+/// aggregate, per variant below.
 ///
 /// The common contract: from activation until delivery or deadline the job
 /// never listens, never finishes early ([`Protocol::is_done`] stays false
 /// until delivery), and its transmissions follow the declared model
-/// exactly (in distribution). Under [`Fidelity::Cohort`], constant-`p`
-/// jobs with the same `p` and deadline form one cohort whose per-slot
-/// transmitter *count* is a single binomial draw instead of one Bernoulli
-/// draw per job — exact in law, not an approximation.
+/// exactly.
 ///
 /// The kernel additionally relies on a *bit-level draw schedule*, because
 /// it reproduces the exact path's draws verbatim rather than resampling in
-/// aggregate:
+/// aggregate: for [`CohortTx::OneShot`], `on_activate` consumes **exactly
+/// one** `gen_range(0..window)` naming the local transmission slot; `act`
+/// consumes nothing (transmit at the chosen slot, sleep otherwise);
+/// `on_feedback` consumes no randomness and has no observable effect.
 ///
-/// - [`CohortTx::Constant`]: `act` consumes **exactly one** `gen_bool(p)`
-///   per call and transmits iff it lands; `on_activate` and `on_feedback`
-///   consume no randomness and have no observable effect.
-/// - [`CohortTx::OneShot`]: `on_activate` consumes **exactly one**
-///   `gen_range(0..window)` naming the local transmission slot; `act`
-///   consumes nothing (transmit at the chosen slot, sleep otherwise);
-///   `on_feedback` consumes no randomness and has no observable effect.
-///
-/// Under the counter-based RNG each of those draws is the *first word* of
-/// a known `(job_key, slot, phase)` position, which is what lets the
-/// kernel batch them (and anyone replay them — see
-/// [`crate::crng::replay_bernoulli`] / [`crate::crng::replay_oneshot`]).
+/// Under the counter-based RNG that draw is the *first word* of a known
+/// `(job_key, release, Activate)` position, which is what lets the kernel
+/// calendar it (and anyone replay it — see
+/// [`crate::crng::replay_oneshot`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CohortTx {
-    /// "Transmit the data message with probability `p` in every slot,
-    /// independently" — the memoryless model (slotted ALOHA). A binomial
-    /// cohort under [`Fidelity::Cohort`], a kernel Bernoulli bucket under
-    /// [`Fidelity::Vectorized`].
-    Constant {
-        /// Per-slot transmission probability, constant for the lifetime.
-        p: f64,
-    },
     /// "Transmit exactly once, in a slot chosen uniformly over the
     /// window" — UNIFORM `k = 1`'s one-shot draw. Under both
     /// [`Fidelity::Cohort`] and [`Fidelity::Vectorized`] the kernel's
@@ -301,8 +285,8 @@ pub trait Protocol {
     /// Aggregate-simulation hint: a transmission profile for this job, if
     /// its whole lifetime follows one (see [`CohortTx`]). Consulted once,
     /// at the job's release slot, and only under [`Fidelity::Cohort`] or
-    /// [`Fidelity::Vectorized`]; a job the engine takes over (cohort,
-    /// class or kernel) receives **no** further protocol callbacks — the
+    /// [`Fidelity::Vectorized`]; a job the engine takes over (class or
+    /// kernel) receives **no** further protocol callbacks — the
     /// engine makes its draws itself. Protocols whose behavior depends on
     /// feedback, phase, or any evolving state must return `None` (the
     /// default), which keeps the job on the exact per-job path under every
@@ -374,30 +358,24 @@ pub enum Fidelity {
     #[default]
     Exact,
     /// Aggregate simulation by profile (see [`Protocol::cohort_tx`]):
-    /// - [`CohortTx::Constant`] jobs are grouped by `(probability,
-    ///   deadline)` and the *number* of transmitters each cohort
-    ///   contributes per slot is one binomial draw; an individual member is
-    ///   materialized only when it is the slot's sole transmitter.
-    ///   O(cohorts) per slot instead of O(jobs). Statistically equivalent
-    ///   to [`Fidelity::Exact`] (same distributions), not bit-identical.
     /// - [`CohortTx::Class`] jobs advance as phase-synchronized classes
-    ///   (see [`crate::classes`]), also statistically equivalent.
+    ///   (see [`crate::classes`]): one binomial draw per class per slot,
+    ///   with members materialized only when the class changes their
+    ///   fate. Statistically equivalent to [`Fidelity::Exact`] (same
+    ///   distributions), not bit-identical.
     /// - [`CohortTx::OneShot`] jobs ride the vectorized kernel's one-shot
     ///   calendar, exactly as under [`Fidelity::Vectorized`], so they stay
     ///   bit-identical to [`Fidelity::Exact`].
     ///
     /// Jobs whose protocol returns `None` still take the exact path.
     Cohort,
-    /// Jobs whose protocol reports a [`Protocol::cohort_tx`] profile are
-    /// managed by the vectorized slot kernel: constant-probability jobs
-    /// are probability-bucketed and drawn as wide batched Bernoulli
-    /// passes over a liveness bitmask (64 lanes per word); one-shot jobs
-    /// have their single transmission slot precomputed into a calendar.
-    /// Because every draw is counter-based (`crate::crng`), the kernel
-    /// is **bit-identical** to [`Fidelity::Exact`] — same outcomes, same
-    /// counters, same trace tallies — while skipping per-job dispatch,
-    /// and independent of [`EngineConfig::kernel_shards`]. Jobs whose
-    /// protocol returns `None` still take the exact path.
+    /// [`CohortTx::OneShot`] jobs are managed by the vectorized slot
+    /// kernel, which precomputes each one's single transmission slot into
+    /// a calendar. Because every draw is counter-based (`crate::crng`),
+    /// the kernel is **bit-identical** to [`Fidelity::Exact`] — same
+    /// outcomes, same counters, same trace tallies — while skipping
+    /// per-job dispatch. All other jobs, class profiles included, take
+    /// the exact path.
     Vectorized,
 }
 
@@ -421,10 +399,6 @@ pub struct EngineConfig {
     /// probe layer entirely; with `record_trace` also off, the slot loop
     /// does no observability work beyond two branch checks.
     pub probe: Option<ProbeSpec>,
-    /// Worker shards for the vectorized kernel's Bernoulli pass
-    /// (`0`/`1` = single-threaded). Counter-based draws make the result
-    /// bit-identical for every shard count; only wall-clock changes.
-    pub kernel_shards: usize,
 }
 
 impl EngineConfig {
@@ -448,7 +422,7 @@ impl EngineConfig {
         self
     }
 
-    /// Enable the cohort binomial fast path (see [`Fidelity::Cohort`]).
+    /// Enable aggregate class simulation (see [`Fidelity::Cohort`]).
     pub fn cohort(mut self) -> Self {
         self.fidelity = Fidelity::Cohort;
         self
@@ -463,13 +437,6 @@ impl EngineConfig {
     /// Enable the vectorized slot kernel (see [`Fidelity::Vectorized`]).
     pub fn vectorized(mut self) -> Self {
         self.fidelity = Fidelity::Vectorized;
-        self
-    }
-
-    /// Set the kernel's worker-shard count (see
-    /// [`EngineConfig::kernel_shards`]).
-    pub fn with_kernel_shards(mut self, shards: usize) -> Self {
-        self.kernel_shards = shards;
         self
     }
 }
@@ -533,8 +500,6 @@ struct SlotScratch {
     /// Indices (into `DutySet::groups`) of groups with a listen bit at the
     /// current position, resolved per group after the slot's feedback.
     listen_groups: Vec<u32>,
-    /// Per-slot cohort draws: `(cohort index, transmitter count)`.
-    cohort_hits: Vec<(u32, u64)>,
     /// Polled indices in job-id order, for deterministic probe drains.
     probe_order: Vec<u32>,
     /// Job indices the vectorized kernel says transmit this slot.
@@ -550,7 +515,6 @@ impl SlotScratch {
         self.codes.clear();
         self.ctxs.clear();
         self.listen_groups.clear();
-        self.cohort_hits.clear();
         self.probe_order.clear();
         self.kernel_tx.clear();
         self.class_outbox.clear();
@@ -776,72 +740,11 @@ impl DutySet {
     }
 }
 
-/// One group of constant-`p` jobs sharing `(p, deadline)`, simulated in
-/// aggregate under [`Fidelity::Cohort`].
-struct Cohort {
-    /// The per-slot transmission probability.
-    p: f64,
-    /// `p.to_bits()`, the grouping key alongside the deadline (no epsilon —
-    /// distinct floats are distinct cohorts).
-    p_bits: u64,
-    deadline: u64,
-    /// Counter-RNG key of the cohort's draws, derived from the trial seed
-    /// and `(p_bits, deadline)` (see [`cohort_key`]): the binomial count
-    /// draws at `(key, slot, Act)`, the member picks at `(key, slot,
-    /// Feedback)`. No draw depends on the cohort's place in the list.
-    key: u64,
-    /// Live member job indices. Members are exchangeable by construction,
-    /// so removal is `swap_remove` and winner selection is a uniform index
-    /// draw.
-    members: Vec<u32>,
-}
-
-/// The counter-RNG key of the `(p_bits, deadline)` cohort: the class
-/// identity-to-index scheme ([`class_stream_index`], with `p_bits` as the
-/// tag and no release) under [`StreamLabel::Cohort`].
-fn cohort_key(seeds: &SeedSeq, p_bits: u64, deadline: u64) -> u64 {
-    seeds.derive(StreamLabel::Cohort, class_stream_index(p_bits, 0, deadline))
-}
-
-/// All cohorts of one run.
-#[derive(Default)]
-struct CohortSet {
-    cohorts: Vec<Cohort>,
-    /// Total live members across all cohorts.
-    total: usize,
-}
-
-impl CohortSet {
-    fn insert(&mut self, seeds: &SeedSeq, p: f64, deadline: u64, idx: u32) {
-        let p_bits = p.to_bits();
-        match self
-            .cohorts
-            .iter_mut()
-            .find(|c| c.p_bits == p_bits && c.deadline == deadline)
-        {
-            Some(c) => c.members.push(idx),
-            None => self.cohorts.push(Cohort {
-                p,
-                p_bits,
-                deadline,
-                key: cohort_key(seeds, p_bits, deadline),
-                members: vec![idx],
-            }),
-        }
-        self.total += 1;
-    }
-
-    fn clear(&mut self) {
-        self.cohorts.clear();
-        self.total = 0;
-    }
-}
-
 /// Thread-local pool of cleared engine internals, so Monte-Carlo workers
 /// that build one engine per trial still reuse one set of allocations per
 /// thread. Donation happens in [`Engine::drop`]; [`Engine::new`] drains it.
 mod arena {
-    use super::{CohortSet, DutySet, JobTable, SlotScratch, WakeQueue};
+    use super::{DutySet, JobTable, SlotScratch, WakeQueue};
     use crate::classes::ClassSet;
     use crate::kernel::SlotKernel;
     use crate::probe::ProbeEvent;
@@ -856,7 +759,6 @@ mod arena {
         pub parked: WakeQueue,
         pub scratch: SlotScratch,
         pub event_scratch: Vec<ProbeEvent>,
-        pub cohorts: CohortSet,
         pub classes: ClassSet,
         pub duty: DutySet,
         pub kernel: SlotKernel,
@@ -870,7 +772,6 @@ mod arena {
             self.parked.clear();
             self.scratch.clear();
             self.event_scratch.clear();
-            self.cohorts.clear();
             self.classes.clear();
             self.duty.clear();
             self.kernel.clear();
@@ -960,7 +861,6 @@ pub struct Engine {
     by_release: Vec<u32>,
     scratch: SlotScratch,
     event_scratch: Vec<ProbeEvent>,
-    cohorts: CohortSet,
     /// Phase-synchronized aggregate classes (see [`CohortTx::Class`]).
     classes: ClassSet,
     /// Duty groups (periodic-schedule jobs; see [`Protocol::duty_cycle`]).
@@ -992,7 +892,6 @@ impl Engine {
             parked: carcass.parked,
             scratch: carcass.scratch,
             event_scratch: carcass.event_scratch,
-            cohorts: carcass.cohorts,
             classes: carcass.classes,
             duty: carcass.duty,
             kernel: carcass.kernel,
@@ -1016,7 +915,6 @@ impl Engine {
             parked: WakeQueue::new(),
             scratch: SlotScratch::default(),
             event_scratch: Vec::new(),
-            cohorts: CohortSet::default(),
             classes: ClassSet::default(),
             duty: DutySet::default(),
             kernel: SlotKernel::new(),
@@ -1036,9 +934,9 @@ impl Engine {
     ///
     /// The reset contract (what bit-identity across reuse requires): all
     /// job state, the active set, the wake queue including its lifetime
-    /// counters, all per-slot scratch, the cohorts, the jammer (back to
-    /// [`Jammer::none`]; install the trial's adversary after the reset),
-    /// and the seed sequence. Nothing else in the engine carries state
+    /// counters, all per-slot scratch, the aggregate classes, the jammer
+    /// (back to [`Jammer::none`]; install the trial's adversary after the
+    /// reset), and the seed sequence. Nothing else in the engine carries state
     /// between runs.
     pub fn reset(&mut self, seed: u64) {
         self.seeds = SeedSeq::new(seed);
@@ -1049,7 +947,6 @@ impl Engine {
         self.parked.clear();
         self.scratch.clear();
         self.event_scratch.clear();
-        self.cohorts.clear();
         self.classes.clear();
         self.duty.clear();
         self.kernel.clear();
@@ -1157,8 +1054,7 @@ impl Engine {
         self.active.clear();
         self.scratch.clear();
         if self.config.fidelity != Fidelity::Exact {
-            self.kernel
-                .prepare(self.jobs.len(), self.config.kernel_shards);
+            self.kernel.prepare(self.jobs.len());
         }
         // All observability flows through the probe bus. The legacy
         // `record_trace` flag is a `VecSink` attached first, so its output
@@ -1245,7 +1141,6 @@ impl Engine {
             // already retired) don't count as live.
             if self.active.is_empty()
                 && self.parked.len() as u64 == self.duty.dead_backstops
-                && self.cohorts.total == 0
                 && self.classes.total == 0
                 && self.kernel.pending() == 0
                 && next_pending == self.by_release.len()
@@ -1257,13 +1152,10 @@ impl Engine {
             // live job is parked. The skipped slots really are silent, so
             // they stay accounted (and traced, when tracing, as a single
             // run-length record): `counts.total()` always equals the number
-            // of slots the run covered. Cohorts block the skip: a live
-            // cohort draws randomness (and can transmit) every slot — and
-            // so does a live aggregate class.
+            // of slots the run covered. A live aggregate class blocks the
+            // skip: it draws randomness (and can transmit) every slot.
             if self.active.is_empty()
-                && self.cohorts.total == 0
                 && self.classes.total == 0
-                && self.kernel.bern_live() == 0
                 && ((self.parked.len() as u64 == self.duty.dead_backstops
                     && self.kernel.pending() == 0)
                     || !jammer_strikes_idle)
@@ -1374,12 +1266,11 @@ impl Engine {
                     aligned_time: aligned_clock.then_some(slot),
                     probed,
                 };
-                // Aggregate-managed jobs (cohort, class, kernel) are never
-                // polled or called back again — unobservably, since their
-                // profiles promise no observable callback effects. The
-                // kernel makes the job's own draws from its bit-level
-                // schedule (see [`CohortTx`]); cohorts and classes sample
-                // in aggregate.
+                // Aggregate-managed jobs (class, kernel) are never polled or
+                // called back again — unobservably, since their profiles
+                // promise no observable callback effects. The kernel makes
+                // the job's own draws from its bit-level schedule (see
+                // [`CohortTx`]); classes sample in aggregate.
                 let profile = if kernel_mode {
                     self.jobs.protocols[idx as usize].cohort_tx(&ctx)
                 } else {
@@ -1393,14 +1284,6 @@ impl Engine {
                     // supply a driver falls through to the exact path.
                     (Fidelity::Cohort, Some(CohortTx::Class { tag })) => {
                         self.admit_class(tag, &spec, &ctx)
-                    }
-                    (Fidelity::Cohort, Some(CohortTx::Constant { p })) => {
-                        self.cohorts.insert(&self.seeds, p, spec.deadline, idx);
-                        true
-                    }
-                    (Fidelity::Vectorized, Some(CohortTx::Constant { p })) => {
-                        self.kernel.insert_bern(idx, key, p, spec.deadline);
-                        true
                     }
                     (Fidelity::Cohort | Fidelity::Vectorized, Some(CohortTx::OneShot)) => {
                         self.kernel.insert_shot(
@@ -1525,24 +1408,6 @@ impl Engine {
                 }
             }
 
-            // 2b. Cohort draws: one binomial per cohort decides how many
-            // members transmit this slot; individuals stay anonymous unless
-            // the slot resolves to a single transmission.
-            self.scratch.cohort_hits.clear();
-            let mut cohort_tx: u64 = 0;
-            for (c_idx, cohort) in self.cohorts.cohorts.iter().enumerate() {
-                let m = cohort.members.len() as u64;
-                let mut rng = CounterRng::new(cohort.key, slot, Phase::Act);
-                let t = sample_binomial(m, cohort.p, &mut rng);
-                if t > 0 {
-                    self.scratch.cohort_hits.push((c_idx as u32, t));
-                    cohort_tx += t;
-                }
-                if recording {
-                    declared_contention += m as f64 * cohort.p;
-                }
-            }
-
             // 2b'. Aggregate-class draws: each live class's shared state
             // machine decides its transmitter count for this slot (one exact
             // binomial on sampled steps, a deterministic count on broadcast
@@ -1560,12 +1425,12 @@ impl Engine {
                 }
             }
 
-            // 2c. Vectorized kernel: batched Bernoulli draws over the
-            // probability buckets plus due one-shot calendar entries.
-            // Each transmitter joins the slot exactly as an exact-path
+            // 2c. Vectorized kernel: due one-shot calendar entries. Each
+            // transmitter joins the slot exactly as an exact-path
             // `Action::Transmit` would (the draws are bit-identical; see
             // `crate::kernel`); kernel jobs are never polled, so they take
-            // no feedback and appear in no `codes`.
+            // no feedback, appear in no `codes` and declare no contention
+            // (the exact path's parked one-shots are not polled either).
             if kernel_mode {
                 self.scratch.kernel_tx.clear();
                 self.kernel.collect(slot, &mut self.scratch.kernel_tx);
@@ -1575,23 +1440,10 @@ impl Engine {
                         .transmitters
                         .push((idx, Payload::Data(self.jobs.specs[idx as usize].id)));
                 }
-                if recording {
-                    // Bucketed jobs declare `p` whether they transmit or
-                    // sleep; one-shots declare nothing while parked (the
-                    // exact path's parked jobs are not polled either).
-                    declared_contention += self.kernel.declared();
-                }
             }
 
             // 3. Resolve the channel and give the adversary its shot.
-            let n_tx = self.scratch.transmitters.len()
-                + cohort_tx as usize
-                + class_tx as usize
-                + standing_n as usize;
-            // A lone cohort transmission materializes one member: position
-            // in its cohort's member list, chosen uniformly (members are
-            // exchangeable).
-            let mut cohort_winner: Option<(usize, usize)> = None;
+            let n_tx = self.scratch.transmitters.len() + class_tx as usize + standing_n as usize;
             let view = match n_tx {
                 0 => SlotView::Silent,
                 1 => {
@@ -1608,7 +1460,7 @@ impl Engine {
                             src: self.jobs.specs[member as usize].id,
                             payload,
                         }
-                    } else if class_tx == 1 {
+                    } else {
                         // A lone aggregate-class transmission: the class
                         // materializes the member (and payload) that goes on
                         // the channel, making the slot's `src` concrete.
@@ -1624,37 +1476,9 @@ impl Engine {
                             src: self.jobs.specs[member as usize].id,
                             payload,
                         }
-                    } else {
-                        let (c_idx, _) = self.scratch.cohort_hits[0];
-                        let cohort = &self.cohorts.cohorts[c_idx as usize];
-                        let pos = CounterRng::new(cohort.key, slot, Phase::Feedback)
-                            .gen_range(0..cohort.members.len());
-                        let member = cohort.members[pos] as usize;
-                        self.jobs.accesses[member].transmissions += 1;
-                        cohort_winner = Some((c_idx as usize, pos));
-                        SlotView::Single {
-                            src: self.jobs.specs[member].id,
-                            payload: Payload::Data(self.jobs.specs[member].id),
-                        }
                     }
                 }
-                _ => {
-                    // Collision: charge each hit cohort's transmission count
-                    // to distinct members (partial Fisher–Yates; order in
-                    // the member list is meaningless).
-                    for &(c_idx, t) in &self.scratch.cohort_hits {
-                        let cohort = &mut self.cohorts.cohorts[c_idx as usize];
-                        let mut rng = CounterRng::new(cohort.key, slot, Phase::Feedback);
-                        let members = &mut cohort.members;
-                        let t = (t as usize).min(members.len());
-                        for i in 0..t {
-                            let j = rng.gen_range(i..members.len());
-                            members.swap(i, j);
-                            self.jobs.accesses[members[i] as usize].transmissions += 1;
-                        }
-                    }
-                    SlotView::Collision { n_tx }
-                }
+                _ => SlotView::Collision { n_tx },
             };
             let jammed = self.jammer.jams(view, &mut jam_rng);
 
@@ -1676,7 +1500,7 @@ impl Engine {
                 (false, 1) => {
                     counts.success += 1;
                     if let SlotView::Single { src, payload } = view {
-                        if payload.data_owner() == Some(src) || cohort_winner.is_some() {
+                        if payload.data_owner() == Some(src) {
                             counts.data_success += 1;
                             delivered_data = Some(src);
                         } else if let Some(owner) = payload.data_owner() {
@@ -1711,7 +1535,6 @@ impl Engine {
                     // stale backstops of retired members are discounted.
                     live_jobs: (self.active.len()
                         + self.parked.len()
-                        + self.cohorts.total
                         + self.classes.total
                         + self.kernel.pending()) as u32
                         - self.duty.dead_backstops as u32,
@@ -1737,17 +1560,10 @@ impl Engine {
                     *outcome = Some(JobOutcome::Success { slot });
                 }
                 // A delivered kernel-managed job leaves the kernel
-                // immediately (its Bernoulli lane dies / its calendar
-                // deadline count drops).
+                // immediately (its calendar deadline count drops).
                 if kernel_mode && self.kernel.is_managed(owner as usize) {
                     self.kernel
                         .on_delivery(owner as usize, self.jobs.specs[owner as usize].deadline);
-                }
-                // A delivered cohort member leaves its cohort immediately
-                // (a jammed one just retries: members are memoryless).
-                if let Some((c_idx, pos)) = cohort_winner {
-                    self.cohorts.cohorts[c_idx].members.swap_remove(pos);
-                    self.cohorts.total -= 1;
                 }
             }
             // Active part: `polled[..visited_start]` mirrors `active`, and
@@ -2062,23 +1878,10 @@ impl Engine {
                     }
                 }
             }
-            // Cohorts whose deadline arrived (or that emptied) dissolve;
-            // remaining members' outcomes default to Missed at the end.
+            // Classes dissolve at their shared deadline or once every member
+            // delivered / ejected / gave up. Members still aggregated at the
+            // deadline settle to Missed in the end-of-run sweep.
             if cohort_mode {
-                let mut c = 0;
-                while c < self.cohorts.cohorts.len() {
-                    let cohort = &self.cohorts.cohorts[c];
-                    if slot + 1 >= cohort.deadline || cohort.members.is_empty() {
-                        self.cohorts.total -= self.cohorts.cohorts[c].members.len();
-                        self.cohorts.cohorts.swap_remove(c);
-                        continue;
-                    }
-                    c += 1;
-                }
-                // Classes dissolve the same way: at their shared deadline or
-                // once every member delivered / ejected / gave up. Members
-                // still aggregated at the deadline settle to Missed in the
-                // end-of-run sweep, exactly like cohort members.
                 let mut c = 0;
                 while c < self.classes.entries.len() {
                     let entry = &self.classes.entries[c];
@@ -2255,7 +2058,6 @@ impl Engine {
             Fidelity::Cohort => 1,
             Fidelity::Vectorized => 2,
         });
-        d.word(self.config.kernel_shards as u64);
         d.word(self.jammer.p_jam().to_bits());
         d.word(self.jobs.len() as u64);
         for s in &self.jobs.specs {
@@ -2294,9 +2096,9 @@ impl Engine {
 
         // Jobs whose protocol state must travel: the active set, parked
         // jobs still awaiting an outcome (wake hints and duty backstops),
-        // and duty-registered jobs. Aggregate-managed jobs (cohort, class,
-        // kernel) get no protocol callbacks after admission, so the
-        // factory-built protocol in the restore target is already exact;
+        // and duty-registered jobs. Aggregate-managed jobs (class, kernel)
+        // get no protocol callbacks after admission, so the factory-built
+        // protocol in the restore target is already exact;
         // pending and retired jobs likewise travel as `None`.
         let n = self.jobs.len();
         let mut needs = vec![false; n];
@@ -2398,16 +2200,6 @@ impl Engine {
                 backstopped: self.duty.backstopped.clone(),
                 dead_backstops: self.duty.dead_backstops,
             },
-            cohorts: self
-                .cohorts
-                .cohorts
-                .iter()
-                .map(|c| CohortSnap {
-                    p_bits: c.p_bits,
-                    deadline: c.deadline,
-                    members: c.members.clone(),
-                })
-                .collect(),
             classes,
             kernel: if self.config.fidelity != Fidelity::Exact {
                 self.kernel.save()
@@ -2477,7 +2269,6 @@ impl Engine {
         if !in_range(&ck.active)
             || !ck.parked.entries.iter().all(|&(_, j)| (j as usize) < n)
             || !ck.duty.groups.iter().all(|g| in_range(&g.members))
-            || !ck.cohorts.iter().all(|c| in_range(&c.members))
         {
             return Err(CheckpointError::Mismatch("job index out of range".into()));
         }
@@ -2544,20 +2335,6 @@ impl Engine {
         self.duty.backstopped.copy_from_slice(&ck.duty.backstopped);
         self.duty.dead_backstops = ck.duty.dead_backstops;
 
-        // Cohort aggregates, verbatim — member order drives winner
-        // selection. Each cohort's counter key is re-derived from the seed.
-        self.cohorts.clear();
-        for c in &ck.cohorts {
-            self.cohorts.total += c.members.len();
-            self.cohorts.cohorts.push(Cohort {
-                p: f64::from_bits(c.p_bits),
-                p_bits: c.p_bits,
-                deadline: c.deadline,
-                key: cohort_key(&self.seeds, c.p_bits, c.deadline),
-                members: c.members.clone(),
-            });
-        }
-
         // Class aggregates: rebuild each driver through its opening job's
         // protocol (exactly how the original run obtained it), then replay
         // the captured dynamic state over it.
@@ -2621,10 +2398,10 @@ impl Engine {
             });
         }
 
-        // The vectorized kernel (prepared by `begin`): buckets, calendar,
-        // and per-job homes from the flat blob.
+        // The vectorized kernel (prepared by `begin`): calendar and
+        // per-job homes from the flat blob.
         if self.config.fidelity != Fidelity::Exact {
-            if !self.kernel.load(&ck.kernel, &self.jobs.keys) {
+            if !self.kernel.load(&ck.kernel) {
                 return Err(CheckpointError::Mismatch("kernel blob is malformed".into()));
             }
         } else if !ck.kernel.is_empty() {
@@ -2727,7 +2504,6 @@ impl Drop for Engine {
             parked: std::mem::take(&mut self.parked),
             scratch: std::mem::take(&mut self.scratch),
             event_scratch: std::mem::take(&mut self.event_scratch),
-            cohorts: std::mem::take(&mut self.cohorts),
             classes: std::mem::take(&mut self.classes),
             duty: std::mem::take(&mut self.duty),
             kernel: std::mem::take(&mut self.kernel),
@@ -2740,6 +2516,7 @@ impl Drop for Engine {
 mod tests {
     use super::*;
     use crate::jamming::JamPolicy;
+    use crate::rng::sample_binomial;
 
     /// Transmit the data message in a fixed local slot.
     struct AtLocal(u64);
@@ -3127,80 +2904,6 @@ mod tests {
     }
 
     #[test]
-    fn cohort_mode_smoke() {
-        /// Pure cohort-model protocol: Bernoulli(p) transmitter.
-        struct Bern(f64);
-        impl Protocol for Bern {
-            fn act(&mut self, _ctx: &JobCtx, rng: &mut dyn RngCore) -> Action {
-                if rand::Rng::gen_bool(rng, self.0) {
-                    Action::Transmit(Payload::Data(0))
-                } else {
-                    Action::Sleep
-                }
-            }
-            fn cohort_tx(&self, _ctx: &JobCtx) -> Option<CohortTx> {
-                Some(CohortTx::Constant { p: self.0 })
-            }
-        }
-        let n = 500u32;
-        let mut e = Engine::new(EngineConfig::default().cohort(), 42);
-        for i in 0..n {
-            e.add_job(
-                JobSpec::new(i, 0, 4_000),
-                Box::new(Bern(1.0 / f64::from(n))),
-            );
-        }
-        let r = e.run();
-        // Contention 1 ⇒ per-slot success ≈ 1/e; over 4000 slots most of
-        // the 500 jobs deliver. The exact count is seed-dependent — the
-        // point here is that the aggregate path runs, delivers plenty,
-        // and attributes each success to a real member.
-        assert!(r.successes() > 350, "successes={}", r.successes());
-        assert_eq!(r.counts.data_success, r.successes() as u64);
-        for (id, o) in r.outcomes().iter().enumerate() {
-            if let JobOutcome::Success { slot } = o {
-                assert!(*slot < 4_000, "job {id} success out of window");
-            }
-        }
-    }
-
-    #[test]
-    fn vectorized_mode_is_bit_identical_to_exact_smoke() {
-        // Full grid coverage (protocols × adversaries × scheduling) lives
-        // in tests/kernel_differential.rs; this pins the basic contract
-        // close to the engine: same outcomes, counts, accesses, and
-        // slots_run for a Bernoulli population, per seed.
-        struct Bern(f64);
-        impl Protocol for Bern {
-            fn act(&mut self, ctx: &JobCtx, rng: &mut dyn RngCore) -> Action {
-                if rand::Rng::gen_bool(rng, self.0) {
-                    Action::Transmit(Payload::Data(ctx.id))
-                } else {
-                    Action::Sleep
-                }
-            }
-            fn cohort_tx(&self, _ctx: &JobCtx) -> Option<CohortTx> {
-                Some(CohortTx::Constant { p: self.0 })
-            }
-        }
-        for seed in 0..5u64 {
-            let run = |config: EngineConfig| {
-                let mut e = Engine::new(config, seed);
-                for i in 0..60u32 {
-                    e.add_job(JobSpec::new(i, u64::from(i) % 7, 600), Box::new(Bern(0.02)));
-                }
-                e.run()
-            };
-            let exact = run(EngineConfig::default());
-            let vector = run(EngineConfig::default().vectorized());
-            assert_eq!(exact.outcomes(), vector.outcomes(), "seed {seed}");
-            assert_eq!(exact.counts, vector.counts, "seed {seed}");
-            assert_eq!(exact.accesses, vector.accesses, "seed {seed}");
-            assert_eq!(exact.slots_run, vector.slots_run, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn cohort_mode_respects_exact_optouts() {
         // A protocol returning None from cohort_tx stays on the exact
         // path even under Fidelity::Cohort.
@@ -3211,9 +2914,9 @@ mod tests {
     }
 
     /// A minimal aggregate-class protocol/driver pair: memoryless ALOHA run
-    /// through the [`ClassDriver`] machinery instead of [`CohortTx::Constant`],
-    /// with every protocol callback panicking — proving class-managed jobs
-    /// get no per-job dispatch at all.
+    /// through the [`ClassDriver`] machinery, with every protocol callback
+    /// panicking — proving class-managed jobs get no per-job dispatch at
+    /// all.
     struct MustAggregate(f64);
     impl Protocol for MustAggregate {
         fn on_activate(&mut self, _ctx: &JobCtx, _rng: &mut dyn RngCore) {

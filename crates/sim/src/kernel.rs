@@ -1,122 +1,31 @@
 //! The vectorized slot kernel behind [`Fidelity::Vectorized`], which also
 //! runs the one-shot jobs of [`Fidelity::Cohort`].
 //!
-//! Jobs whose protocol exposes a [`CohortTx`] profile are lifted out of
-//! the per-job dispatch loop into two flat structures:
-//!
-//! - **Bernoulli buckets** ([`CohortTx::Constant`], vectorized fidelity
-//!   only — cohort fidelity samples these as binomial cohorts): jobs sharing
-//!   `(p, deadline)` sit in one bucket as parallel `keys`/`jobs` lanes
-//!   with a 64-lane-per-word liveness bitmask. Each slot the kernel
-//!   evaluates the counter-based draw `replay_bernoulli(key, slot, p)`
-//!   for every live lane in a tight pass — no protocol calls, no
-//!   per-job state, no branches on dead lanes beyond the mask.
-//! - **One-shot calendar** ([`CohortTx::OneShot`], both fidelities): the
-//!   single transmission slot is precomputed at activation from the same pure
-//!   draw the exact path's `on_activate` makes, and pushed into a
-//!   min-heap keyed by that slot. Due entries pop in O(log n); slots
-//!   with no due entry cost a peek.
+//! Jobs whose protocol exposes [`CohortTx::OneShot`] are lifted out of the
+//! per-job dispatch loop into a **one-shot calendar**: the single
+//! transmission slot is precomputed at activation from the same pure draw
+//! the exact path's `on_activate` makes, and pushed into a min-heap keyed
+//! by that slot. Due entries pop in O(log n); slots with no due entry cost
+//! a peek.
 //!
 //! Because every draw is a pure function of `(job_key, slot, phase)`
 //! (see [`crate::crng`]), the kernel's transmission set each slot is
 //! *bit-identical* to what the exact path would produce — the
 //! differential suite in `tests/kernel_differential.rs` pins this
-//! across the full protocol × adversary grid — and the Bernoulli pass
-//! can be split across worker threads with identical results for any
-//! partitioning (`tests/partition_invariance.rs`).
+//! across the full protocol × adversary grid.
 //!
 //! [`Fidelity::Vectorized`]: crate::engine::Fidelity::Vectorized
 //! [`Fidelity::Cohort`]: crate::engine::Fidelity::Cohort
-//! [`CohortTx`]: crate::engine::CohortTx
-//! [`CohortTx::Constant`]: crate::engine::CohortTx::Constant
 //! [`CohortTx::OneShot`]: crate::engine::CohortTx::OneShot
 
 use crate::crng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-/// Minimum live Bernoulli lanes before the kernel bothers spawning
-/// worker threads for a sharded pass; below this the spawn overhead
-/// dwarfs the draw work.
-const PARALLEL_MIN_LANES: usize = 256;
-
-/// One `(p, deadline)` class of constant-probability transmitters.
-struct BernBucket {
-    /// Per-slot transmission probability shared by every lane.
-    p: f64,
-    /// `p.to_bits()`, the bucket-identity half of the grouping key.
-    p_bits: u64,
-    /// Common deadline: the whole bucket expires at this slot.
-    deadline: u64,
-    /// Per-lane counter keys, parallel to `jobs`.
-    keys: Vec<u64>,
-    /// Per-lane job indices, parallel to `keys`.
-    jobs: Vec<u32>,
-    /// Liveness bitmask: bit `i` of word `i / 64` is lane `i`. Cleared
-    /// on delivery; lanes are never compacted.
-    alive: Vec<u64>,
-    /// Count of set bits in `alive`.
-    live: usize,
-}
-
-impl BernBucket {
-    /// Evaluate the slot's Bernoulli draws for lanes in the word range
-    /// `[word_lo, word_hi)`, appending transmitting job indices to
-    /// `out`. Pure with respect to the bucket (no mutation), so ranges
-    /// can be evaluated concurrently.
-    fn collect_range(&self, slot: u64, word_lo: usize, word_hi: usize, out: &mut Vec<u32>) {
-        for wi in word_lo..word_hi {
-            let word = self.alive[wi];
-            if word == 0 {
-                continue;
-            }
-            let base = wi * 64;
-            let mut tx = if word.count_ones() >= 32 && base + 64 <= self.keys.len() {
-                // Dense word: draw all 64 lanes branchlessly, mask after.
-                let mut bits = 0u64;
-                for b in 0..64 {
-                    let hit = crng::replay_bernoulli(self.keys[base + b], slot, self.p);
-                    bits |= u64::from(hit) << b;
-                }
-                bits & word
-            } else {
-                // Sparse word: draw only the set bits.
-                let mut bits = 0u64;
-                let mut rest = word;
-                while rest != 0 {
-                    let b = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    if crng::replay_bernoulli(self.keys[base + b], slot, self.p) {
-                        bits |= 1u64 << b;
-                    }
-                }
-                bits
-            };
-            while tx != 0 {
-                let b = tx.trailing_zeros() as usize;
-                tx &= tx - 1;
-                out.push(self.jobs[base + b]);
-            }
-        }
-    }
-}
-
-/// Where a kernel-managed job lives, for O(1) delivery handling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Home {
-    /// Not kernel-managed (exact-path job, or never inserted).
-    None,
-    /// Lane `.1` of Bernoulli bucket `.0`.
-    Bern(u32, u32),
-    /// In the one-shot calendar.
-    Shot,
-}
-
-/// The vectorized slot kernel: batched Bernoulli buckets plus a
-/// one-shot transmission calendar. Owned by the engine; inert (and
-/// allocation-free) when the run's fidelity is `Exact`.
+/// The vectorized slot kernel: a one-shot transmission calendar. Owned by
+/// the engine; inert (and allocation-free) when the run's fidelity is
+/// `Exact`.
 pub(crate) struct SlotKernel {
-    berns: Vec<BernBucket>,
     /// One-shot calendar: `(transmission slot, job index)` min-heap.
     shots: BinaryHeap<Reverse<(u64, u32)>>,
     /// Pending (undelivered, unexpired) one-shot members per deadline.
@@ -124,16 +33,11 @@ pub(crate) struct SlotKernel {
     /// the exact path likewise parks the job to `deadline - 1`, keeping
     /// it in live-job accounting and extending the run to its deadline.
     shot_live: BTreeMap<u64, u64>,
-    /// Per-job home, indexed by job index.
-    homes: Vec<Home>,
-    /// Total pending kernel-managed jobs (bern live + one-shot live).
+    /// Per-job flag, indexed by job index: admitted to the calendar and
+    /// not yet delivered.
+    homed: Vec<bool>,
+    /// Total pending kernel-managed jobs.
     pending: usize,
-    /// Total live Bernoulli lanes across buckets.
-    bern_live: usize,
-    /// Worker shards for the Bernoulli pass (`<= 1` = inline).
-    shards: usize,
-    /// Per-shard output staging for the threaded pass.
-    shard_out: Vec<Vec<u32>>,
 }
 
 impl Default for SlotKernel {
@@ -145,47 +49,31 @@ impl Default for SlotKernel {
 impl SlotKernel {
     pub(crate) fn new() -> Self {
         Self {
-            berns: Vec::new(),
             shots: BinaryHeap::new(),
             shot_live: BTreeMap::new(),
-            homes: Vec::new(),
+            homed: Vec::new(),
             pending: 0,
-            bern_live: 0,
-            shards: 1,
-            shard_out: Vec::new(),
         }
     }
 
-    /// Reset for a run over `n_jobs` jobs with the given shard count.
-    pub(crate) fn prepare(&mut self, n_jobs: usize, shards: usize) {
+    /// Reset for a run over `n_jobs` jobs.
+    pub(crate) fn prepare(&mut self, n_jobs: usize) {
         self.clear();
-        self.homes.resize(n_jobs, Home::None);
-        self.shards = shards.max(1);
-        self.shard_out.resize_with(self.shards, Vec::new);
+        self.homed.resize(n_jobs, false);
     }
 
     /// Drop all state (the engine's reset contract).
     pub(crate) fn clear(&mut self) {
-        self.berns.clear();
         self.shots.clear();
         self.shot_live.clear();
-        self.homes.clear();
+        self.homed.clear();
         self.pending = 0;
-        self.bern_live = 0;
-        self.shards = 1;
-        self.shard_out.clear();
     }
 
     /// Pending kernel-managed jobs (counted in `live_jobs` traces and
     /// the run's termination condition).
     pub(crate) fn pending(&self) -> usize {
         self.pending
-    }
-
-    /// Live Bernoulli lanes: while nonzero, every slot needs a draw
-    /// pass, so the engine must not gap-skip.
-    pub(crate) fn bern_live(&self) -> usize {
-        self.bern_live
     }
 
     /// The earliest scheduled one-shot transmission, if any.
@@ -200,48 +88,6 @@ impl SlotKernel {
     /// at its deadline — the run extends exactly that far, no further.
     pub(crate) fn next_expiry(&self) -> Option<u64> {
         self.shot_live.first_key_value().map(|(&d, _)| d - 1)
-    }
-
-    /// Σ live·p over Bernoulli buckets: the kernel's contribution to
-    /// the slot's declared contention `C(t)`.
-    pub(crate) fn declared(&self) -> f64 {
-        self.berns.iter().map(|b| b.live as f64 * b.p).sum()
-    }
-
-    /// Admit a constant-probability job at activation.
-    pub(crate) fn insert_bern(&mut self, idx: u32, key: u64, p: f64, deadline: u64) {
-        let p_bits = p.to_bits();
-        let bi = match self
-            .berns
-            .iter()
-            .position(|b| b.p_bits == p_bits && b.deadline == deadline)
-        {
-            Some(bi) => bi,
-            None => {
-                self.berns.push(BernBucket {
-                    p,
-                    p_bits,
-                    deadline,
-                    keys: Vec::new(),
-                    jobs: Vec::new(),
-                    alive: Vec::new(),
-                    live: 0,
-                });
-                self.berns.len() - 1
-            }
-        };
-        let bucket = &mut self.berns[bi];
-        let lane = bucket.keys.len();
-        bucket.keys.push(key);
-        bucket.jobs.push(idx);
-        if lane.is_multiple_of(64) {
-            bucket.alive.push(0);
-        }
-        bucket.alive[lane / 64] |= 1u64 << (lane % 64);
-        bucket.live += 1;
-        self.bern_live += 1;
-        self.pending += 1;
-        self.homes[idx as usize] = Home::Bern(bi as u32, lane as u32);
     }
 
     /// Admit a one-shot job at activation: replay the activation draw
@@ -262,30 +108,19 @@ impl SlotKernel {
         self.shots.push(Reverse((tx, idx)));
         *self.shot_live.entry(deadline).or_insert(0) += 1;
         self.pending += 1;
-        self.homes[idx as usize] = Home::Shot;
+        self.homed[idx as usize] = true;
     }
 
     /// True if `idx` is currently kernel-managed.
     pub(crate) fn is_managed(&self, idx: usize) -> bool {
-        self.homes.get(idx).is_some_and(|h| *h != Home::None)
+        self.homed.get(idx).copied().unwrap_or(false)
     }
 
-    /// Retire expired state at the top of slot `slot`: buckets and
-    /// one-shot members whose deadline has arrived stop pending (their
-    /// outcomes are settled by the engine's end-of-run sweep, which
-    /// defaults untouched jobs to `Missed` — same as the exact path).
+    /// Retire expired state at the top of slot `slot`: one-shot members
+    /// whose deadline has arrived stop pending (their outcomes are settled
+    /// by the engine's end-of-run sweep, which defaults untouched jobs to
+    /// `Missed` — same as the exact path).
     pub(crate) fn expire(&mut self, slot: u64) {
-        for bucket in &mut self.berns {
-            if bucket.deadline <= slot && bucket.live > 0 {
-                for idx in &bucket.jobs {
-                    self.homes[*idx as usize] = Home::None;
-                }
-                self.bern_live -= bucket.live;
-                self.pending -= bucket.live;
-                bucket.live = 0;
-                bucket.alive.iter_mut().for_each(|w| *w = 0);
-            }
-        }
         while let Some((&deadline, _)) = self.shot_live.first_key_value() {
             if deadline > slot {
                 break;
@@ -299,54 +134,32 @@ impl SlotKernel {
         // exactly its slot, strictly before its deadline can expire it.
     }
 
-    /// Record delivery of job `idx`: its lane goes dead (Bernoulli) or
-    /// its deadline's pending count drops (one-shot).
+    /// Record delivery of job `idx`: its deadline's pending count drops.
     pub(crate) fn on_delivery(&mut self, idx: usize, deadline: u64) {
-        match self.homes[idx] {
-            Home::None => {}
-            Home::Bern(bi, lane) => {
-                let bucket = &mut self.berns[bi as usize];
-                let (wi, bit) = (lane as usize / 64, lane as usize % 64);
-                debug_assert_ne!(bucket.alive[wi] & (1 << bit), 0, "double delivery");
-                bucket.alive[wi] &= !(1u64 << bit);
-                bucket.live -= 1;
-                self.bern_live -= 1;
-                self.pending -= 1;
-                self.homes[idx] = Home::None;
-            }
-            Home::Shot => {
-                let n = self
-                    .shot_live
-                    .get_mut(&deadline)
-                    .expect("delivered one-shot must be pending");
-                *n -= 1;
-                if *n == 0 {
-                    self.shot_live.remove(&deadline);
-                }
-                self.pending -= 1;
-                self.homes[idx] = Home::None;
-            }
+        if !self.homed[idx] {
+            return;
         }
+        let n = self
+            .shot_live
+            .get_mut(&deadline)
+            .expect("delivered one-shot must be pending");
+        *n -= 1;
+        if *n == 0 {
+            self.shot_live.remove(&deadline);
+        }
+        self.pending -= 1;
+        self.homed[idx] = false;
     }
 
     /// Serialize kernel state as a flat word list for `crate::checkpoint`:
-    /// buckets (`p_bits`, deadline, lane jobs, alive mask), the one-shot
-    /// calendar in ascending `(slot, idx)` order, the pending-per-deadline
-    /// map, and the set of jobs still homed in the calendar. Lane *keys*
-    /// and the derived counters are not stored — they are recomputed on
-    /// load from the engine's job-key column. The explicit `Home::Shot`
-    /// list is required because a fired-but-collided one-shot has left the
-    /// calendar heap yet stays pending (and homed) until its deadline.
+    /// the one-shot calendar in ascending `(slot, idx)` order, the
+    /// pending-per-deadline map, and the set of jobs still homed in the
+    /// calendar. The derived `pending` counter is not stored. The explicit
+    /// homed list is required because a fired-but-collided one-shot
+    /// has left the calendar heap yet stays pending (and homed) until its
+    /// deadline.
     pub(crate) fn save(&self) -> Vec<u64> {
         let mut w = Vec::new();
-        w.push(self.berns.len() as u64);
-        for b in &self.berns {
-            w.push(b.p_bits);
-            w.push(b.deadline);
-            w.push(b.jobs.len() as u64);
-            w.extend(b.jobs.iter().map(|&j| u64::from(j)));
-            w.extend_from_slice(&b.alive);
-        }
         // `into_sorted_vec` ascends in `Reverse` order (= descending
         // `(slot, idx)`); reversing restores ascending calendar order.
         let shots = self.shots.clone().into_sorted_vec();
@@ -363,8 +176,8 @@ impl SlotKernel {
         let homes_at = w.len();
         w.push(0);
         let mut n_shot_homes = 0u64;
-        for (i, h) in self.homes.iter().enumerate() {
-            if *h == Home::Shot {
+        for (i, &h) in self.homed.iter().enumerate() {
+            if h {
                 w.push(i as u64);
                 n_shot_homes += 1;
             }
@@ -373,69 +186,16 @@ impl SlotKernel {
         w
     }
 
-    /// Rebuild kernel state from [`SlotKernel::save`] output. `keys` is
-    /// the engine's per-job counter-key column (lane keys are re-derived
-    /// rather than stored); the derived counters (`live`, `bern_live`,
-    /// `pending`) are recomputed. Must be called after
+    /// Rebuild kernel state from [`SlotKernel::save`] output; the derived
+    /// `pending` counter is recomputed. Must be called after
     /// [`SlotKernel::prepare`]. Returns `false` on a malformed word list.
-    pub(crate) fn load(&mut self, w: &[u64], keys: &[u64]) -> bool {
+    pub(crate) fn load(&mut self, w: &[u64]) -> bool {
         fn take(w: &[u64], i: &mut usize) -> Option<u64> {
             let v = w.get(*i).copied()?;
             *i += 1;
             Some(v)
         }
         let mut i = 0usize;
-        let Some(n_buckets) = take(w, &mut i) else {
-            return false;
-        };
-        for _ in 0..n_buckets {
-            let (Some(p_bits), Some(deadline), Some(n_lanes)) =
-                (take(w, &mut i), take(w, &mut i), take(w, &mut i))
-            else {
-                return false;
-            };
-            let n_lanes = n_lanes as usize;
-            let mut jobs = Vec::with_capacity(n_lanes);
-            let mut lane_keys = Vec::with_capacity(n_lanes);
-            for _ in 0..n_lanes {
-                let Some(j) = take(w, &mut i) else {
-                    return false;
-                };
-                let Some(&key) = keys.get(j as usize) else {
-                    return false;
-                };
-                jobs.push(j as u32);
-                lane_keys.push(key);
-            }
-            let mut alive = Vec::with_capacity(n_lanes.div_ceil(64));
-            for _ in 0..n_lanes.div_ceil(64) {
-                let Some(word) = take(w, &mut i) else {
-                    return false;
-                };
-                alive.push(word);
-            }
-            let mut live = 0usize;
-            for (lane, &j) in jobs.iter().enumerate() {
-                if alive[lane / 64] >> (lane % 64) & 1 != 0 {
-                    if j as usize >= self.homes.len() {
-                        return false;
-                    }
-                    self.homes[j as usize] = Home::Bern(self.berns.len() as u32, lane as u32);
-                    live += 1;
-                }
-            }
-            self.bern_live += live;
-            self.pending += live;
-            self.berns.push(BernBucket {
-                p: f64::from_bits(p_bits),
-                p_bits,
-                deadline,
-                keys: lane_keys,
-                jobs,
-                alive,
-                live,
-            });
-        }
         let Some(n_shots) = take(w, &mut i) else {
             return false;
         };
@@ -462,16 +222,16 @@ impl SlotKernel {
             let Some(j) = take(w, &mut i) else {
                 return false;
             };
-            if j as usize >= self.homes.len() {
+            if j as usize >= self.homed.len() {
                 return false;
             }
-            self.homes[j as usize] = Home::Shot;
+            self.homed[j as usize] = true;
         }
         i == w.len()
     }
 
-    /// Evaluate slot `slot`: pop due one-shot transmissions and run the
-    /// Bernoulli pass, appending transmitting job indices to `out`.
+    /// Evaluate slot `slot`: pop due one-shot transmissions, appending
+    /// transmitting job indices to `out`.
     ///
     /// The output *set* is a pure function of `(slot, keys)`; its order
     /// is unspecified (the engine only counts transmitters and resolves
@@ -486,41 +246,8 @@ impl SlotKernel {
             // gap-skip treats `next_tx` as an event, and a shot resolves
             // (delivery or expiry) only at or after its transmission.
             debug_assert_eq!(s, slot, "one-shot transmission slot was skipped");
-            debug_assert_eq!(self.homes[idx as usize], Home::Shot, "stale calendar entry");
+            debug_assert!(self.homed[idx as usize], "stale calendar entry");
             out.push(idx);
-        }
-        if self.bern_live == 0 {
-            return;
-        }
-        let shards = self.shards;
-        if shards <= 1 || self.bern_live < PARALLEL_MIN_LANES.max(shards * 64) {
-            for bucket in &self.berns {
-                if bucket.live > 0 && bucket.deadline > slot {
-                    bucket.collect_range(slot, 0, bucket.alive.len(), out);
-                }
-            }
-            return;
-        }
-        let berns = &self.berns;
-        let shard_out = &mut self.shard_out[..shards];
-        std::thread::scope(|scope| {
-            for (i, buf) in shard_out.iter_mut().enumerate() {
-                buf.clear();
-                scope.spawn(move || {
-                    for bucket in berns {
-                        if bucket.live == 0 || bucket.deadline <= slot {
-                            continue;
-                        }
-                        let words = bucket.alive.len();
-                        let lo = words * i / shards;
-                        let hi = words * (i + 1) / shards;
-                        bucket.collect_range(slot, lo, hi, buf);
-                    }
-                });
-            }
-        });
-        for buf in shard_out {
-            out.append(buf);
         }
     }
 }
@@ -536,62 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn bern_pass_matches_scalar_replay() {
-        let mut k = SlotKernel::new();
-        let ks = keys(100);
-        k.prepare(100, 1);
-        for (i, &key) in ks.iter().enumerate() {
-            k.insert_bern(i as u32, key, 0.25, 1000);
-        }
-        for slot in 0..50 {
-            let mut got = Vec::new();
-            k.collect(slot, &mut got);
-            got.sort_unstable();
-            let want: Vec<u32> = (0..100u32)
-                .filter(|&i| crng::replay_bernoulli(ks[i as usize], slot, 0.25))
-                .collect();
-            assert_eq!(got, want, "slot {slot}");
-        }
-    }
-
-    #[test]
-    fn sharded_pass_is_partition_invariant() {
-        let n = 1024u64;
-        let ks = keys(n);
-        let reference: Vec<Vec<u32>> = {
-            let mut k = SlotKernel::new();
-            k.prepare(n as usize, 1);
-            for (i, &key) in ks.iter().enumerate() {
-                k.insert_bern(i as u32, key, 0.1, 10_000);
-            }
-            (0..20)
-                .map(|slot| {
-                    let mut out = Vec::new();
-                    k.collect(slot, &mut out);
-                    out.sort_unstable();
-                    out
-                })
-                .collect()
-        };
-        for shards in [2usize, 3, 8] {
-            let mut k = SlotKernel::new();
-            k.prepare(n as usize, shards);
-            for (i, &key) in ks.iter().enumerate() {
-                k.insert_bern(i as u32, key, 0.1, 10_000);
-            }
-            for (slot, want) in reference.iter().enumerate() {
-                let mut out = Vec::new();
-                k.collect(slot as u64, &mut out);
-                out.sort_unstable();
-                assert_eq!(&out, want, "shards {shards} slot {slot}");
-            }
-        }
-    }
-
-    #[test]
     fn oneshot_calendar_fires_once_at_replayed_slot() {
         let mut k = SlotKernel::new();
-        k.prepare(4, 1);
+        k.prepare(4);
         let ks = keys(4);
         for (i, &key) in ks.iter().enumerate() {
             k.insert_shot(i as u32, key, 10, 32, 42);
@@ -622,55 +296,54 @@ mod tests {
     #[test]
     fn delivery_and_expiry_zero_out_pending() {
         let mut k = SlotKernel::new();
-        k.prepare(3, 1);
-        k.insert_bern(0, 1, 0.5, 100);
-        k.insert_bern(1, 2, 0.5, 100);
+        k.prepare(3);
+        k.insert_shot(0, 1, 0, 100, 100);
+        k.insert_shot(1, 2, 0, 100, 100);
         k.insert_shot(2, 3, 0, 64, 64);
         assert_eq!(k.pending(), 3);
-        assert_eq!(k.bern_live(), 2);
         k.on_delivery(0, 100);
         assert!(!k.is_managed(0));
         assert!(k.is_managed(1));
         assert_eq!(k.pending(), 2);
-        assert_eq!(k.bern_live(), 1);
         k.on_delivery(2, 64);
         assert_eq!(k.pending(), 1);
-        assert_eq!(k.next_expiry(), None);
+        assert_eq!(k.next_expiry(), Some(99));
         k.expire(100);
         assert_eq!(k.pending(), 0);
-        assert_eq!(k.bern_live(), 0);
+        assert_eq!(k.next_expiry(), None);
     }
 
     #[test]
     fn save_load_round_trips_mixed_state() {
         let ks = keys(8);
         let mut k = SlotKernel::new();
-        k.prepare(8, 1);
+        k.prepare(8);
+        // Jobs 0..4 fire within 16 slots but pend until slot 200; jobs
+        // 4..8 fire anywhere before their deadline at 64.
         for i in 0..4u32 {
-            k.insert_bern(i, ks[i as usize], 0.3, 200);
+            k.insert_shot(i, ks[i as usize], 0, 16, 200);
         }
         for i in 4..8u32 {
             k.insert_shot(i, ks[i as usize], 0, 64, 64);
         }
-        k.on_delivery(1, 200);
         // Advance past some one-shot firings so the saved state mixes
-        // fired-but-pending and not-yet-fired calendar members.
+        // delivered, fired-but-pending and not-yet-fired calendar members.
         let mut out = Vec::new();
         for slot in 0..20 {
             k.expire(slot);
             out.clear();
             k.collect(slot, &mut out);
         }
+        k.on_delivery(1, 200);
         let words = k.save();
         let mut r = SlotKernel::new();
-        r.prepare(8, 1);
-        assert!(r.load(&words, &ks));
+        r.prepare(8);
+        assert!(r.load(&words));
         assert_eq!(r.pending(), k.pending());
-        assert_eq!(r.bern_live(), k.bern_live());
         assert_eq!(r.next_tx(), k.next_tx());
         assert_eq!(r.next_expiry(), k.next_expiry());
         assert_eq!(r.is_managed(1), k.is_managed(1));
-        for slot in 20..70 {
+        for slot in 20..210 {
             k.expire(slot);
             r.expire(slot);
             let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -681,17 +354,5 @@ mod tests {
             assert_eq!(a, b, "slot {slot}");
             assert_eq!(k.pending(), r.pending());
         }
-    }
-
-    #[test]
-    fn declared_tracks_live_lanes() {
-        let mut k = SlotKernel::new();
-        k.prepare(4, 1);
-        for i in 0..4 {
-            k.insert_bern(i, u64::from(i) + 7, 0.25, 50);
-        }
-        assert!((k.declared() - 1.0).abs() < 1e-12);
-        k.on_delivery(1, 50);
-        assert!((k.declared() - 0.75).abs() < 1e-12);
     }
 }

@@ -165,8 +165,8 @@ impl SchedStats {
 /// while some sink records slot traces (the per-slot sum is diagnostic and
 /// skipped otherwise, exactly like `SlotRecord::declared_contention`);
 /// gap-skipped silent stretches contribute zero but still count as
-/// measured. Exact-path jobs contribute their `tx_probability`, cohorts
-/// and aggregate classes their aggregate `m·p`, duty groups their standing
+/// measured. Exact-path jobs contribute their `tx_probability`,
+/// aggregate classes their aggregate `m·p`, duty groups their standing
 /// counts; parked event-driven jobs and kernel one-shots are not polled
 /// for diagnostics, so like `declared_contention` itself this is
 /// comparable across fidelities only statistically (and exactly under

@@ -11,6 +11,9 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Labels for the independent random-stream domains of one simulation.
+///
+/// Each label mixes its own fixed tag into [`SeedSeq::derive`], so a
+/// label's streams never move when another label is added or removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamLabel {
     /// Per-job protocol randomness; index = job id.
@@ -21,15 +24,11 @@ pub enum StreamLabel {
     Trial,
     /// Workload/instance generation.
     Workload,
-    /// Per-cohort counter-RNG keys for the constant-`p` cohorts of
-    /// [`crate::engine::Fidelity::Cohort`]; index = the cohort's
-    /// `(p_bits, deadline)` grouping key.
-    Cohort,
     /// Per-class counter-RNG keys for phase-synchronized aggregate classes
     /// ([`crate::classes::ClassDriver`]); index = the class grouping key.
     /// Class draws are made from [`crate::crng::CounterRng`] streams keyed
-    /// on `(class_seed, slot, phase)`, so they are replayable and
-    /// shard/partition-invariant by construction.
+    /// on `(class_seed, slot, phase)`, so they are replayable by
+    /// construction.
     Class,
     /// Anything else; caller supplies a unique discriminant via `index`.
     Misc,
@@ -42,7 +41,6 @@ impl StreamLabel {
             StreamLabel::Jammer => 0x4a414d,   // "JAM"
             StreamLabel::Trial => 0x545249,    // "TRI"
             StreamLabel::Workload => 0x574b4c, // "WKL"
-            StreamLabel::Cohort => 0x434f48,   // "COH"
             StreamLabel::Class => 0x434c53,    // "CLS"
             StreamLabel::Misc => 0x4d4953,     // "MIS"
         }
@@ -165,7 +163,6 @@ mod tests {
             StreamLabel::Jammer,
             StreamLabel::Trial,
             StreamLabel::Workload,
-            StreamLabel::Cohort,
             StreamLabel::Class,
             StreamLabel::Misc,
         ] {
@@ -196,7 +193,7 @@ mod tests {
 
     #[test]
     fn binomial_edge_cases() {
-        let mut rng = SeedSeq::new(3).rng(StreamLabel::Cohort, 0);
+        let mut rng = SeedSeq::new(3).rng(StreamLabel::Misc, 0);
         assert_eq!(sample_binomial(0, 0.5, &mut rng), 0);
         assert_eq!(sample_binomial(100, 0.0, &mut rng), 0);
         assert_eq!(sample_binomial(100, -0.5, &mut rng), 0);
@@ -212,7 +209,7 @@ mod tests {
         // Sample mean and variance within 5 sigma of n·p and n·p·q, on both
         // sides of the p = 1/2 complement switch and in the sparse regime
         // the cohort engine lives in (n·p ≈ 1 with huge n).
-        let mut rng = SeedSeq::new(17).rng(StreamLabel::Cohort, 0);
+        let mut rng = SeedSeq::new(17).rng(StreamLabel::Misc, 0);
         for (n, p) in [(40u64, 0.25f64), (40, 0.75), (100_000, 1e-5), (9, 0.5)] {
             let trials = 40_000u64;
             let (mut sum, mut sum_sq) = (0f64, 0f64);

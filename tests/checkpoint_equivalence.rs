@@ -147,12 +147,12 @@ fn protocol_adversary_grid_exact() {
     }
 }
 
-/// Cohort and vectorized fidelities on mixed populations: aggregate- and
-/// kernel-eligible jobs (constant-probability ALOHA, one-shot UNIFORM)
-/// interleaved with exact-path protocols. The cohort population also holds
-/// one aggregate class ([`ClassAloha`]), so its snapshot has to capture the
-/// kernel calendar, the counter-keyed cohorts, a class driver, and per-job
-/// state side by side.
+/// Cohort and vectorized fidelities on mixed populations: kernel-eligible
+/// one-shot UNIFORM interleaved with exact-path protocols (hinted ALOHA,
+/// whose state carries its next transmit slot, and sawtooth). The cohort
+/// population also holds one aggregate class ([`ClassAloha`]), so its
+/// snapshot has to capture the kernel calendar, a class driver, and
+/// per-job state side by side.
 #[test]
 fn mixed_populations_cohort_and_vectorized() {
     let base = staggered(30, 7, 300);
@@ -163,7 +163,7 @@ fn mixed_populations_cohort_and_vectorized() {
             return Box::new(ClassAloha(0.02));
         }
         protocol_pick(match s.id % 3 {
-            0 => 5, // constant-p ALOHA
+            0 => 5, // ALOHA (exact path, wake-hinted)
             1 => 0, // one-shot UNIFORM
             _ => 2, // sawtooth (exact path under every fidelity)
         } as usize)

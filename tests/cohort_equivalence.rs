@@ -1,17 +1,18 @@
-//! Statistical equivalence of [`Fidelity::Cohort`] and the exact path.
+//! Statistical equivalence of aggregate simulation and the per-slot law.
 //!
-//! Cohort mode replaces per-job Bernoulli draws with one binomial draw per
-//! cohort (and phase-synchronized protocols with one shared class driver),
-//! so reports are *not* bit-identical to the exact engine — the claim is
-//! distributional. These tests validate it the way the mode's contract
-//! states it:
+//! Two kinds of claim live here, both distributional rather than
+//! bit-exact:
 //!
-//! * **ALOHA ([`FixedProbability`])** is *exactly* the cohort model
-//!   (Bernoulli(p) each slot, never listening), so the two fidelities
-//!   sample the same distribution and the Wilson confidence intervals of
-//!   the success rate must overlap tightly.
-//! * **ALIGNED and PUNCTUAL** classes share one fate per class, so their
-//!   success laws are compared cluster-robustly at the trial level.
+//! * **ALOHA ([`FixedProbability`])** draws the geometric gap to its next
+//!   transmission instead of one Bernoulli(p) coin per slot. That changes
+//!   the realization, not the law, so under [`Fidelity::Cohort`] (where
+//!   ALOHA takes the exact path) its success rate must match the per-slot
+//!   reference [`BernoulliAloha`]: the Wilson confidence intervals must
+//!   overlap tightly.
+//! * **ALIGNED and PUNCTUAL** run as phase-synchronized classes under
+//!   [`Fidelity::Cohort`], one binomial draw per class per slot. A class
+//!   shares one fate, so their success laws are compared cluster-robustly
+//!   at the trial level against the exact path.
 //!
 //! One-shot UNIFORM (k = 1) is absent here on purpose: cohort fidelity
 //! runs it on the vectorized kernel's calendar, which is bit-identical to
@@ -26,18 +27,20 @@ use contention_deadlines::protocols::{
 use contention_deadlines::sim::engine::{Engine, EngineConfig, Fidelity};
 use contention_deadlines::sim::job::JobSpec;
 use contention_deadlines::sim::probe::{ProbeEvent, ProbeSpec, SinkSpec};
-use testkit::{assert_success_law_match, assert_wilson_overlap, jammers, success_proportion};
+use testkit::{
+    assert_success_law_match, assert_wilson_overlap, jammers, success_proportion, BernoulliAloha,
+};
 
 #[test]
 fn aloha_cohort_matches_exact_tightly() {
     // n jobs at p = 1/n (contention 1) over 4 windows' worth of slots:
-    // enough contention that the aggregate resolution logic is exercised,
-    // enough slack that most jobs deliver. Exact per-slot model match ⇒
-    // the 95% intervals themselves must overlap.
+    // enough contention that collisions are common, enough slack that
+    // most jobs deliver. Same per-slot law ⇒ the 95% intervals themselves
+    // must overlap.
     let n = 48u32;
     let p = 1.0 / f64::from(n);
     let exact = success_proportion(Fidelity::Exact, 300, 1001, n, 256, |_| {
-        Box::new(FixedProbability::new(p))
+        Box::new(BernoulliAloha::new(p))
     });
     let cohort = success_proportion(Fidelity::Cohort, 300, 2002, n, 256, |_| {
         Box::new(FixedProbability::new(p))
@@ -47,14 +50,13 @@ fn aloha_cohort_matches_exact_tightly() {
 
 #[test]
 fn aloha_cohort_matches_exact_under_heavy_contention() {
-    // Contention 4: most slots are collisions, deliveries are rare, and
-    // the binomial draw is >1 almost always — stressing the "materialize
-    // only the sole winner" logic. Still the same distribution; allow
-    // z = 3 for the rarer-event proportion.
+    // Contention 4: most slots are collisions and deliveries are rare, so
+    // a gap chain that drifted from the per-slot law would show. Still the
+    // same distribution; allow z = 3 for the rarer-event proportion.
     let n = 64u32;
     let p = 4.0 / f64::from(n);
     let exact = success_proportion(Fidelity::Exact, 250, 3003, n, 192, |_| {
-        Box::new(FixedProbability::new(p))
+        Box::new(BernoulliAloha::new(p))
     });
     let cohort = success_proportion(Fidelity::Cohort, 250, 4004, n, 192, |_| {
         Box::new(FixedProbability::new(p))
@@ -195,18 +197,14 @@ fn aggregate_contention_accounting_matches_exact() {
 
 #[test]
 fn cohort_mode_is_deterministic_per_seed() {
-    // Same seed ⇒ same cohort draws ⇒ identical outcomes, independent of
-    // thread scheduling (cohort keys are derived from the seed, not shared).
-    let config = EngineConfig {
-        fidelity: Fidelity::Cohort,
-        ..EngineConfig::default()
-    };
+    // Same seed ⇒ same class draws ⇒ identical outcomes, independent of
+    // thread scheduling (class keys are derived from the seed, not shared).
     let run = || {
-        let mut e = Engine::new(config.clone(), 77);
+        let mut e = Engine::new(EngineConfig::default().cohort(), 77);
         for i in 0..40u32 {
             e.add_job(
-                JobSpec::new(i, 0, 300),
-                Box::new(FixedProbability::new(0.02)),
+                JobSpec::new(i, 0, 1 << 12),
+                Box::new(PunctualProtocol::new(PunctualParams::laptop())),
             );
         }
         e.run().outcomes().to_vec()

@@ -1,26 +1,25 @@
 //! Differential testing of the vectorized slot kernel.
 //!
 //! [`Fidelity::Vectorized`] routes kernel-eligible jobs (those exposing a
-//! [`CohortTx`] profile) through batched counter-based draws instead of
-//! per-job protocol dispatch. Unlike cohort mode, the claim is **bit
-//! identity**: the kernel evaluates the exact same `(job_key, slot,
-//! phase)` positions the exact path's `gen_bool` / `gen_range` calls
+//! [`CohortTx::OneShot`] profile) through a calendar of counter-based
+//! draws instead of per-job protocol dispatch. Unlike class aggregation,
+//! the claim is **bit identity**: the kernel evaluates the exact same
+//! `(job_key, slot, phase)` position the exact path's `gen_range` call
 //! would, so outcomes, channel counts, per-job access counts, slots_run,
 //! and trace tallies must all match the exact engine bit-for-bit — per
 //! seed, per adversary, per scheduling mode.
 //!
-//! The grid: pure single-probability ALOHA, multi-bucket ALOHA, one-shot
-//! UNIFORM, and mixed kernel + exact-path populations, each crossed with
-//! the full jammer grid and both scheduling modes, plus a proptest over
-//! random populations. One-shot UNIFORM is checked under
-//! [`Fidelity::Cohort`] too, which routes it through the same kernel
-//! calendar and so owes the same bit identity. `declared_contention` is
-//! excluded as everywhere else (parked and kernel-managed jobs are not
-//! polled for diagnostics).
+//! The grid: one-shot UNIFORM alone and mixed kernel + exact-path
+//! populations (hinted ALOHA included), each crossed with the full jammer
+//! grid and both scheduling modes, plus a proptest over random
+//! populations. One-shot UNIFORM is checked under [`Fidelity::Cohort`]
+//! too, which routes it through the same kernel calendar and so owes the
+//! same bit identity. `declared_contention` is excluded as everywhere
+//! else (parked and kernel-managed jobs are not polled for diagnostics).
 //!
 //! [`Fidelity::Vectorized`]: contention_deadlines::sim::engine::Fidelity::Vectorized
 //! [`Fidelity::Cohort`]: contention_deadlines::sim::engine::Fidelity::Cohort
-//! [`CohortTx`]: contention_deadlines::sim::engine::CohortTx
+//! [`CohortTx::OneShot`]: contention_deadlines::sim::engine::CohortTx::OneShot
 
 mod testkit;
 
@@ -66,41 +65,6 @@ where
 }
 
 #[test]
-fn aloha_single_bucket_matches_exact() {
-    for (jname, _) in jammers() {
-        for seed in 0..4u64 {
-            assert_kernel_equiv("aloha", Fidelity::Vectorized, seed, jname, |e| {
-                for spec in staggered(24, 37, 1 << 10) {
-                    e.add_job(spec, Box::new(FixedProbability::new(0.04)));
-                }
-            });
-        }
-    }
-}
-
-#[test]
-fn aloha_multi_bucket_matches_exact() {
-    // Three probabilities and two deadline classes: six kernel buckets,
-    // exercising bucket lookup, per-bucket expiry, and dense/sparse word
-    // paths as lanes die off.
-    let ps = [0.01f64, 0.05, 0.12];
-    for (jname, _) in jammers() {
-        for seed in 0..3u64 {
-            assert_kernel_equiv("aloha-buckets", Fidelity::Vectorized, seed, jname, |e| {
-                for i in 0..30u32 {
-                    let r = u64::from(i % 5) * 11;
-                    let w = if i % 2 == 0 { 600 } else { 900 };
-                    e.add_job(
-                        JobSpec::new(i, r, r + w),
-                        Box::new(FixedProbability::new(ps[i as usize % 3])),
-                    );
-                }
-            });
-        }
-    }
-}
-
-#[test]
 fn uniform_oneshot_matches_exact() {
     // Cohort fidelity sends one-shot jobs to the same kernel calendar, so
     // it owes exact the same bit identity as vectorized does.
@@ -120,7 +84,7 @@ fn uniform_oneshot_matches_exact() {
 #[test]
 fn mixed_kernel_and_exact_population_matches_exact() {
     // Kernel-managed jobs sharing the channel with exact-path protocols
-    // (including Uniform k=2, which is one-shot-ineligible): collisions,
+    // (hinted ALOHA, and Uniform k=2, which is one-shot-ineligible): collisions,
     // single-transmitter resolution, and feedback fan-out must all see
     // the same channel in both modes.
     for (jname, _) in jammers() {
@@ -153,8 +117,8 @@ fn class_profile_protocols_fall_back_to_exact_under_vectorized() {
     // *cohort* fidelity only; the vectorized kernel has no class lanes, so
     // the engine must run these jobs on the exact per-job path and stay
     // bit-identical to the plain exact engine. ALIGNED additionally sharing
-    // the channel with kernel-managed ALOHA lanes checks that the class
-    // fallback doesn't disturb kernel feedback fan-out.
+    // the channel with one-shot UNIFORM checks that the class fallback
+    // doesn't disturb kernel feedback fan-out.
     let grid = jammers();
     for (jname, jammer) in &grid {
         for seed in 0..3u64 {
@@ -172,10 +136,7 @@ fn class_profile_protocols_fall_back_to_exact_under_vectorized() {
                         );
                     }
                     for i in 12..24u32 {
-                        e.add_job(
-                            JobSpec::new(i, 0, 512),
-                            Box::new(FixedProbability::new(0.02)),
-                        );
+                        e.add_job(JobSpec::new(i, 0, 512), Box::new(Uniform::single()));
                     }
                 },
             );
@@ -207,7 +168,7 @@ fn kernel_engages_for_eligible_jobs() {
     use contention_deadlines::sim::engine::{Action, CohortTx, JobCtx, Protocol};
     use rand::RngCore;
 
-    struct MustVectorize(f64);
+    struct MustVectorize;
     impl Protocol for MustVectorize {
         fn on_activate(&mut self, _ctx: &JobCtx, _rng: &mut dyn RngCore) {
             panic!("kernel-eligible job was activated on the exact path");
@@ -216,13 +177,13 @@ fn kernel_engages_for_eligible_jobs() {
             panic!("kernel-eligible job was polled");
         }
         fn cohort_tx(&self, _ctx: &JobCtx) -> Option<CohortTx> {
-            Some(CohortTx::Constant { p: self.0 })
+            Some(CohortTx::OneShot)
         }
     }
 
     let mut e = Engine::new(EngineConfig::default().vectorized(), 11);
     for i in 0..40u32 {
-        e.add_job(JobSpec::new(i, 0, 400), Box::new(MustVectorize(0.05)));
+        e.add_job(JobSpec::new(i, 0, 400), Box::new(MustVectorize));
     }
     let r = e.run();
     assert!(r.successes() > 0, "kernel produced no deliveries");

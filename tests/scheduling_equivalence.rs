@@ -29,7 +29,7 @@ use contention_deadlines::workloads::generators::{aligned_classes, batch, poisso
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use testkit::{assert_config_equiv, jammer_pick, jammers, staggered};
+use testkit::{assert_config_equiv, jammer_pick, jammers, staggered, BernoulliAloha};
 
 /// Run the same simulation under both scheduling modes and assert every
 /// non-diagnostic observable matches bit-for-bit.
@@ -148,16 +148,48 @@ fn beb_matches_dense() {
 }
 
 #[test]
+fn aloha_matches_dense() {
+    // ALOHA sleeps through its geometric gaps: event-driven mode parks it
+    // from one transmission to the next, dense mode polls every slot and
+    // must see the same transmit slots, down to the vanishing-p job that
+    // never transmits at all.
+    for (jname, jammer) in jammers() {
+        for seed in 0..4u64 {
+            assert_equiv(
+                &format!("aloha jam={jname}"),
+                EngineConfig::default(),
+                jammer.as_ref(),
+                seed,
+                |e| {
+                    let mut factory = FixedProbability::per_window(3.0);
+                    for spec in staggered(12, 23, 1024) {
+                        e.add_job(spec, factory(&spec));
+                    }
+                    let spec = JobSpec::new(12, 5, 600);
+                    e.add_job(spec, Box::new(FixedProbability::new(f64::MIN_POSITIVE)));
+                },
+            );
+        }
+    }
+}
+
+#[test]
 fn hintless_protocol_matches_dense() {
-    // FixedProbability opts out of wake hints (next_wake = None), so
-    // event-driven mode degrades to dense polling for it: trivially
-    // equivalent, but worth pinning since mixed populations rely on it.
+    // A protocol without wake hints (per-slot Bernoulli ALOHA) is polled
+    // every slot in event-driven mode too: trivially equivalent, but
+    // worth pinning since mixed populations rely on it.
     for seed in 0..4u64 {
-        assert_equiv("aloha", EngineConfig::default(), None, seed, |e| {
-            for spec in staggered(6, 17, 512) {
-                e.add_job(spec, Box::new(FixedProbability::new(0.05)));
-            }
-        });
+        assert_equiv(
+            "bernoulli-aloha",
+            EngineConfig::default(),
+            None,
+            seed,
+            |e| {
+                for spec in staggered(6, 17, 512) {
+                    e.add_job(spec, Box::new(BernoulliAloha::new(0.05)));
+                }
+            },
+        );
     }
 }
 
@@ -308,6 +340,7 @@ fn mixed_population_matches_dense() {
                     );
                     add(e, 150, Box::new(Uniform::new(3)));
                     add(e, 200, Box::new(Sawtooth::new()));
+                    add(e, 96, Box::new(BernoulliAloha::new(0.02)));
                 },
             );
         }

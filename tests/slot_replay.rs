@@ -1,25 +1,27 @@
-//! O(1) slot replay: any `(trial, job, slot)` transmission decision can
-//! be reproduced *without running the engine*, by evaluating the pure
-//! counter draw at that position.
+//! Slot replay: a job's transmission schedule can be reproduced *without
+//! running the engine*, by evaluating the pure counter draws at the
+//! positions the protocol consumes them.
 //!
 //! The engine hands every protocol callback a [`CounterRng`] keyed on
 //! `(trial_seed → job_key, slot, phase)`, so the first draw a protocol
 //! makes in a slot is a pure function of those coordinates. For the two
-//! kernel-eligible shapes this pins the whole transmission schedule:
+//! memoryless shapes this pins the whole transmission schedule:
 //!
-//! - ALOHA ([`FixedProbability`]): one `gen_bool(p)` per polled slot —
-//!   [`crng::replay_bernoulli`] must equal "did it transmit" for every
-//!   slot the job was live, transmit or not.
+//! - ALOHA ([`FixedProbability`]): one geometric gap at activation, then
+//!   one on each transmit slot — walking the chain with [`crng::draw`] and
+//!   [`crng::geometric`] must name exactly the slots the job transmitted
+//!   in while live, one replay step per transmission.
 //! - One-shot UNIFORM ([`Uniform::single`]): one `gen_range(0..w)` at
 //!   activation — [`crng::replay_oneshot`] must name the exact global
-//!   slot of the job's single attempt.
+//!   slot of the job's single attempt, in O(1).
 //!
 //! A recording wrapper logs the full run's actual transmissions (under
 //! the full jammer grid and both scheduling modes); the replay side
 //! never touches the engine — just [`SeedSeq::job_key`] and the draw.
 //!
 //! [`CounterRng`]: contention_deadlines::sim::crng::CounterRng
-//! [`crng::replay_bernoulli`]: contention_deadlines::sim::crng::replay_bernoulli
+//! [`crng::draw`]: contention_deadlines::sim::crng::draw
+//! [`crng::geometric`]: contention_deadlines::sim::crng::geometric
 //! [`crng::replay_oneshot`]: contention_deadlines::sim::crng::replay_oneshot
 //! [`FixedProbability`]: contention_deadlines::baselines::FixedProbability
 //! [`Uniform::single`]: contention_deadlines::protocols::Uniform::single
@@ -32,7 +34,7 @@ use std::rc::Rc;
 
 use contention_deadlines::baselines::FixedProbability;
 use contention_deadlines::protocols::Uniform;
-use contention_deadlines::sim::crng;
+use contention_deadlines::sim::crng::{self, Phase};
 use contention_deadlines::sim::engine::{
     Action, CohortTx, DutyCycle, Engine, EngineConfig, JobCtx, Protocol,
 };
@@ -136,6 +138,21 @@ fn last_live_slot(spec: &JobSpec, outcome: &JobOutcome) -> u64 {
     }
 }
 
+/// ALOHA's transmit slots in `[spec.release, last]`, replayed from pure
+/// draws: the first gap from the activation position, each next gap from
+/// the previous transmission's act position.
+fn aloha_replay(key: u64, spec: &JobSpec, last: u64, p: f64) -> Vec<u64> {
+    let mut out = Vec::new();
+    let gap = crng::geometric(crng::draw(key, spec.release, Phase::Activate), p);
+    let mut slot = spec.release.saturating_add(gap - 1);
+    while slot <= last {
+        out.push(slot);
+        let gap = crng::geometric(crng::draw(key, slot, Phase::Act), p);
+        slot = slot.saturating_add(gap);
+    }
+    out
+}
+
 #[test]
 fn aloha_schedule_replays_from_pure_draws() {
     let p = 0.04;
@@ -150,16 +167,18 @@ fn aloha_schedule_replays_from_pure_draws() {
                 for spec in &specs {
                     let key = keys.job_key(u64::from(spec.id));
                     let last = last_live_slot(spec, &report.outcome(spec.id));
-                    for slot in spec.release..=last {
-                        let recorded = txs.contains(&(spec.id, slot));
-                        let replayed = crng::replay_bernoulli(key, slot, p);
-                        assert_eq!(
-                            recorded, replayed,
-                            "jam={jname} seed={seed} job={} slot={slot}: \
-                             run recorded {recorded}, pure draw replays {replayed}",
-                            spec.id
-                        );
-                    }
+                    let recorded: Vec<u64> = txs
+                        .iter()
+                        .filter(|(id, _)| *id == spec.id)
+                        .map(|(_, s)| *s)
+                        .collect();
+                    assert_eq!(
+                        recorded,
+                        aloha_replay(key, spec, last, p),
+                        "jam={jname} seed={seed} job={}: recorded transmissions \
+                         diverge from the replayed gap chain",
+                        spec.id
+                    );
                 }
             }
         }
@@ -197,29 +216,34 @@ fn oneshot_attempt_replays_from_pure_draw() {
 
 #[test]
 fn replay_is_positionwise_not_streamwise() {
-    // The O(1) property proper: replaying a *sampled* position needs no
-    // prefix — query slots out of order, interleaved across jobs, and
-    // compare against one reference run.
+    // Each gap is a pure function of the transmission it starts from, so
+    // replaying one step needs no prefix of the chain: visit recorded
+    // transmissions in a scattered order and predict each one's successor
+    // from its own position alone. The jammer kills 40% of successes, so
+    // jobs retransmit and the chain has steps to check.
     let p = 0.07;
     let specs = testkit::staggered(12, 17, 300);
     let seed = 9;
-    let (report, txs) = record_run(EngineConfig::default(), "clean", seed, &specs, |_| {
+    let (report, txs) = record_run(EngineConfig::default(), "all", seed, &specs, |_| {
         Box::new(FixedProbability::new(p))
     });
+    assert!(txs.len() > specs.len(), "no job retransmitted");
     let keys = SeedSeq::new(seed);
-    // A scattered probe order: stride through (job, slot) space backwards.
-    for probe in (0..600u64).rev().step_by(7) {
-        let spec = &specs[(probe % 12) as usize];
-        let slot = spec.release + probe % spec.window();
-        if slot > last_live_slot(spec, &report.outcome(spec.id)) {
-            continue;
-        }
-        let key = keys.job_key(u64::from(spec.id));
+    for k in (0..txs.len()).rev().step_by(3) {
+        let (id, slot) = txs[k];
+        let spec = &specs[id as usize];
+        let key = keys.job_key(u64::from(id));
+        let next = slot.saturating_add(crng::geometric(crng::draw(key, slot, Phase::Act), p));
+        let recorded_next = txs
+            .iter()
+            .filter(|&&(j, s)| j == id && s > slot)
+            .map(|&(_, s)| s)
+            .min();
+        let last = last_live_slot(spec, &report.outcome(id));
         assert_eq!(
-            txs.contains(&(spec.id, slot)),
-            crng::replay_bernoulli(key, slot, p),
-            "job={} slot={slot}",
-            spec.id
+            recorded_next,
+            (next <= last).then_some(next),
+            "job={id} slot={slot}"
         );
     }
 }

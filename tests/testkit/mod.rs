@@ -3,24 +3,72 @@
 //! One copy of the protocol × adversary × workload grids, the
 //! report-equality assertions, and the statistical helpers that the
 //! equivalence suites (`scheduling_equivalence`, `cohort_equivalence`,
-//! `kernel_differential`, `partition_invariance`, `slot_replay`) used to
-//! duplicate. Each `tests/*.rs` consumer declares `mod testkit;` — the
-//! module is compiled per test crate, so pieces unused by one consumer
-//! are expected dead code.
+//! `kernel_differential`, `slot_replay`) used to duplicate. Each
+//! `tests/*.rs` consumer declares `mod testkit;` — the module is compiled
+//! per test crate, so pieces unused by one consumer are expected dead
+//! code.
 #![allow(dead_code)]
 
 use contention_deadlines::baselines::windowed::{Schedule, WindowedBackoff};
 use contention_deadlines::baselines::{BinaryExponentialBackoff, FixedProbability, Sawtooth};
 use contention_deadlines::protocols::Uniform;
-use contention_deadlines::sim::engine::{Engine, EngineConfig, Fidelity, Protocol};
+use contention_deadlines::sim::engine::{Action, Engine, EngineConfig, Fidelity, JobCtx, Protocol};
 use contention_deadlines::sim::jamming::{
     BudgetedJammer, GilbertElliott, JamPolicy, Jammer, ReactiveJammer,
 };
 use contention_deadlines::sim::job::JobSpec;
+use contention_deadlines::sim::message::Payload;
 use contention_deadlines::sim::metrics::SimReport;
 use contention_deadlines::sim::runner::run_trials;
+use contention_deadlines::sim::slot::Feedback;
 use contention_deadlines::sim::trace::tally;
 use contention_deadlines::stats::Proportion;
+use rand::{Rng, RngCore};
+
+/// Slotted ALOHA the slow way: one `gen_bool(p)` coin in every slot until
+/// delivery, and no wake hint. This is the per-slot Bernoulli law that
+/// `FixedProbability`'s geometric gaps must reproduce, kept as the
+/// reference for law tests and as a protocol the engine has to poll every
+/// slot.
+pub struct BernoulliAloha {
+    p: f64,
+    succeeded: bool,
+}
+
+impl BernoulliAloha {
+    pub fn new(p: f64) -> Self {
+        Self {
+            p,
+            succeeded: false,
+        }
+    }
+}
+
+impl Protocol for BernoulliAloha {
+    fn act(&mut self, ctx: &JobCtx, rng: &mut dyn RngCore) -> Action {
+        if !self.succeeded && rng.gen_bool(self.p) {
+            Action::Transmit(Payload::Data(ctx.id))
+        } else {
+            Action::Sleep
+        }
+    }
+
+    fn on_feedback(&mut self, ctx: &JobCtx, fb: &Feedback, _rng: &mut dyn RngCore) {
+        if let Feedback::Success { src, payload } = fb {
+            if *src == ctx.id && payload.is_data() {
+                self.succeeded = true;
+            }
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.succeeded
+    }
+
+    fn tx_probability(&self, _ctx: &JobCtx) -> Option<f64> {
+        Some(if self.succeeded { 0.0 } else { self.p })
+    }
+}
 
 /// The jammer grid: every stateless policy plus the stateful adversaries,
 /// including both idle-striking ones (`Random`, Gilbert–Elliott) that
